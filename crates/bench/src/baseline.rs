@@ -1,11 +1,9 @@
 //! Pipeline baseline: mean-of-N per-stage wall-times for every mini-app
 //! pattern (the paper's three plus the collectives and stencil2d
 //! extensions), derived from the observability layer's span timers rather
-//! than a separate harness. Each pattern runs once under the barrier
-//! kernel schedule (the per-stage `features_ms`/`gram_ms` split) and once
-//! under the default pipelined schedule (`features_pipelined_ms` /
-//! `gram_pipelined_ms` / `kernel_speedup`), plus a tracer-attached pass
-//! for `trace_overhead_pct` and a cold/warm artifact-store pass.
+//! than a separate harness. Each pattern runs a metrics pass (the
+//! per-stage split, `features_ms`/`gram_ms` included), a tracer-attached
+//! pass for `trace_overhead_pct` and a cold/warm artifact-store pass.
 //! `anacin bench baseline` writes the report as `BENCH_baseline.json`; CI
 //! uploads it so perf regressions across the simulate/graph/features/gram
 //! stages are visible per commit.
@@ -38,7 +36,7 @@ pub struct BaselineConfig {
     pub samples: u32,
     /// Seed of the first run in every campaign.
     pub base_seed: u64,
-    /// Run counts the gram-at-scale tier measures the dot schedules at
+    /// Run counts the gram-at-scale tier measures the Gram paths at
     /// (default `[64, 256]`).
     pub gram_scale_runs: Vec<usize>,
 }
@@ -66,21 +64,11 @@ pub struct StageTimings {
     pub simulate_ms: f64,
     /// Mean wall-time of event-graph construction.
     pub graph_ms: f64,
-    /// Mean wall-time of feature extraction (barrier schedule).
+    /// Mean wall-time of feature extraction.
     pub features_ms: f64,
-    /// Mean wall-time of the Gram-matrix dot products (barrier schedule).
+    /// Mean wall-time of the Gram matrix (the k-way merge).
     pub gram_ms: f64,
-    /// Mean wall-time of the fused pipeline until the last feature vector
-    /// completed (dot products already running underneath).
-    pub features_pipelined_ms: f64,
-    /// Mean wall-time of the fused pipeline's exposed dot-product tail
-    /// after the last feature completed.
-    pub gram_pipelined_ms: f64,
-    /// `(features_ms + gram_ms) / (features_pipelined_ms +
-    /// gram_pipelined_ms)` — how much faster the fused kernel stage is
-    /// than the barrier schedule.
-    pub kernel_speedup: f64,
-    /// Mean end-to-end campaign wall-time (default pipelined schedule).
+    /// Mean end-to-end campaign wall-time.
     pub total_ms: f64,
     /// Relative cost of running the same campaigns with a tracer
     /// attached: `(median traced − median untraced) / median untraced ×
@@ -122,19 +110,20 @@ pub struct ServeRow {
     pub serve_speedup: f64,
 }
 
-/// Gram-schedule timings at one run count of the gram-at-scale tier:
-/// the same synthetic amg2013 feature set pushed through every dot
-/// schedule, single-threaded so the ratios measure the schedules, not
-/// the thread pool. `exact_ms` is the reference full recompute with the
-/// scalar merge-join dot; `blocked_ms` and `append_ms` are bit-identical
+/// Gram timings at one run count of the gram-at-scale tier: the same
+/// synthetic amg2013 feature set pushed through every Gram path,
+/// single-threaded so the ratios measure the algorithms, not the thread
+/// pool. `exact_ms` is the full k-way-merge Gram; `blocked_ms` (all
+/// pairwise blocked dots) and `append_ms` are bit-identical
 /// alternatives, `landmark_ms` is the opt-in approximation.
 #[derive(Debug, Clone, Serialize)]
 pub struct GramScaleRow {
     /// Feature vectors (runs) in the Gram matrix.
     pub runs: usize,
-    /// Full recompute, scalar merge-join dot (the pre-existing path).
+    /// Full recompute: the k-way-merge Gram.
     pub exact_ms: f64,
-    /// Full recompute, blocked/galloping dot (bit-identical to exact).
+    /// Every pairwise entry through the blocked/galloping dot
+    /// (bit-identical to exact).
     pub blocked_ms: f64,
     /// One `gram_append` step: growing the stored `runs−1` matrix by
     /// one run (`runs` new dots instead of `runs·(runs−1)/2`).
@@ -145,7 +134,8 @@ pub struct GramScaleRow {
     pub landmark_k: usize,
     /// Frobenius error bound the approximation reported.
     pub landmark_error_bound: f64,
-    /// `exact_ms / blocked_ms`.
+    /// `exact_ms / blocked_ms`: below 1 when the k-way merge beats
+    /// pairwise dots.
     pub blocked_speedup: f64,
     /// `exact_ms / append_ms`.
     pub append_speedup: f64,
@@ -153,7 +143,7 @@ pub struct GramScaleRow {
 
 /// The gram-at-scale tier: WL features of a real amg2013 campaign held
 /// fixed (cycled and salted up to the largest run count) while the
-/// dot-product schedules race on identical inputs, plus the WL
+/// Gram paths race on identical inputs, plus the WL
 /// relabelling lane-width A/B.
 #[derive(Debug, Clone, Serialize)]
 pub struct GramScaleReport {
@@ -193,7 +183,7 @@ impl BaselineReport {
     pub fn render_table(&self) -> String {
         let mut out = format!(
             "baseline: procs={} runs={} samples={}\n\
-             {:<16} {:>12} {:>10} {:>12} {:>10} {:>9} {:>9} {:>8} {:>10} {:>10} {:>9} {:>9} {:>8}\n",
+             {:<16} {:>12} {:>10} {:>12} {:>10} {:>10} {:>10} {:>9} {:>9} {:>8}\n",
             self.procs,
             self.runs,
             self.samples,
@@ -202,9 +192,6 @@ impl BaselineReport {
             "graph_ms",
             "features_ms",
             "gram_ms",
-            "pipe_f_ms",
-            "pipe_g_ms",
-            "kernel_x",
             "total_ms",
             "trace_ovh%",
             "cold_ms",
@@ -217,15 +204,12 @@ impl BaselineReport {
                 None => "-".to_string(),
             };
             out.push_str(&format!(
-                "{:<16} {:>12.3} {:>10.3} {:>12.3} {:>10.3} {:>9.3} {:>9.3} {:>8.2} {:>10.3} {:>10} {:>9.3} {:>9.3} {:>8.1}\n",
+                "{:<16} {:>12.3} {:>10.3} {:>12.3} {:>10.3} {:>10.3} {:>10} {:>9.3} {:>9.3} {:>8.1}\n",
                 r.pattern,
                 r.simulate_ms,
                 r.graph_ms,
                 r.features_ms,
                 r.gram_ms,
-                r.features_pipelined_ms,
-                r.gram_pipelined_ms,
-                r.kernel_speedup,
                 r.total_ms,
                 ovh,
                 r.store_cold_ms,
@@ -292,9 +276,9 @@ fn time_median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 /// The gram-at-scale tier: extract WL features from one real amg2013
 /// campaign, cycle them (salted with one unique high-id feature per
 /// replica, so every synthetic run is distinct) up to the largest run
-/// count, and race the dot schedules on the identical feature set.
+/// count, and race the Gram paths on the identical feature set.
 /// Everything times single-threaded medians of 3 so the ratios compare
-/// schedules, not thread pools.
+/// algorithms, not thread pools.
 pub fn run_gram_scale(cfg: &BaselineConfig) -> GramScaleReport {
     let source_runs = 10u32;
     let ccfg = CampaignConfig::new(Pattern::Amg2013, cfg.procs)
@@ -336,13 +320,11 @@ pub fn run_gram_scale(cfg: &BaselineConfig) -> GramScaleReport {
                 ));
             });
             let blocked_ms = time_median_ms(3, || {
-                std::hint::black_box(gram_from_features_with_dot(
-                    "wl",
-                    slice,
-                    1,
-                    DotKind::Blocked,
-                    None,
-                ));
+                for (i, a) in slice.iter().enumerate() {
+                    for b in &slice[i..] {
+                        std::hint::black_box(DotKind::Blocked.dot(a, b));
+                    }
+                }
             });
             let prev = gram_from_features_with_dot("wl", &slice[..r - 1], 1, DotKind::Scalar, None);
             let append_ms = time_median_ms(3, || {
@@ -393,22 +375,12 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
         let ccfg = CampaignConfig::new(p, cfg.procs)
             .runs(cfg.runs)
             .base_seed(cfg.base_seed);
-        // Pipelined pass (the shipped default): end-to-end totals plus the
-        // fused kernel stage's features/tail split.
+        // Metrics pass: end-to-end totals and the per-stage split.
         let reg = MetricsRegistry::new();
         for _ in 0..cfg.samples {
             run_campaign_with_metrics(&ccfg, Some(&reg)).expect("baseline campaign");
         }
         let report = reg.report();
-        // Barrier pass: the classic per-stage features/gram split the
-        // pipelined schedule dissolves.
-        let barrier_cfg = ccfg.clone().schedule(GramSchedule::Barrier);
-        let barrier_reg = MetricsRegistry::new();
-        for _ in 0..cfg.samples {
-            run_campaign_with_metrics(&barrier_cfg, Some(&barrier_reg))
-                .expect("barrier baseline campaign");
-        }
-        let barrier = barrier_reg.report();
         // Overhead pass: untraced vs traced end-to-end medians over at
         // least MIN_OVERHEAD_SAMPLES timings each (fresh registry per
         // timing so one campaign = one span observation).
@@ -480,26 +452,13 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
                 })
                 .unwrap_or(0.0)
         };
-        let features_ms = mean_ms(&barrier, "campaign/kernel/features");
-        let gram_ms = mean_ms(&barrier, "campaign/kernel/gram");
-        let features_pipelined_ms = mean_ms(&report, "campaign/kernel/pipeline/features");
-        let gram_pipelined_ms = mean_ms(&report, "campaign/kernel/pipeline/gram");
-        let fused = features_pipelined_ms + gram_pipelined_ms;
-        let kernel_speedup = if fused > 0.0 {
-            (features_ms + gram_ms) / fused
-        } else {
-            0.0
-        };
         rows.push(StageTimings {
             pattern: p.to_string(),
             samples: cfg.samples,
             simulate_ms: mean_ms(&report, "campaign/simulate"),
             graph_ms: mean_ms(&report, "campaign/graph"),
-            features_ms,
-            gram_ms,
-            features_pipelined_ms,
-            gram_pipelined_ms,
-            kernel_speedup,
+            features_ms: mean_ms(&report, "campaign/kernel/features"),
+            gram_ms: mean_ms(&report, "campaign/kernel/gram"),
             total_ms: mean_ms(&report, "campaign"),
             trace_overhead_pct,
             events: report.counter("sim/events").unwrap_or(0),
@@ -552,10 +511,8 @@ mod tests {
             assert!(row.simulate_ms >= 0.0);
             assert!(row.events > 0);
             assert_eq!(row.dot_products, 2 * 3 / 2);
-            assert!(row.features_ms >= 0.0, "{}", row.pattern);
-            assert!(row.features_pipelined_ms >= 0.0, "{}", row.pattern);
-            assert!(row.gram_pipelined_ms >= 0.0, "{}", row.pattern);
-            assert!(row.kernel_speedup >= 0.0, "{}", row.pattern);
+            assert!(row.features_ms > 0.0, "{}", row.pattern);
+            assert!(row.gram_ms > 0.0, "{}", row.pattern);
             // Tiny 4-proc campaigns sit under the noise floor, so the
             // overhead column must be suppressed, not reported as noise.
             if let Some(v) = row.trace_overhead_pct {
@@ -573,7 +530,6 @@ mod tests {
         assert!(table.contains("collectives"), "{table}");
         assert!(table.contains("stencil2d"), "{table}");
         assert!(table.contains("trace_ovh%"), "{table}");
-        assert!(table.contains("kernel_x"), "{table}");
         assert!(table.contains("store_x"), "{table}");
         let g = r.gram_scale.as_ref().expect("gram_scale section");
         assert_eq!(g.pattern, "amg2013");
@@ -598,9 +554,8 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         assert!(json.contains("\"patterns\""));
         assert!(json.contains("\"trace_overhead_pct\""));
-        assert!(json.contains("\"features_pipelined_ms\""));
-        assert!(json.contains("\"gram_pipelined_ms\""));
-        assert!(json.contains("\"kernel_speedup\""));
+        assert!(json.contains("\"features_ms\""));
+        assert!(json.contains("\"gram_ms\""));
         assert!(json.contains("\"store_cold_ms\""));
         assert!(json.contains("\"store_warm_ms\""));
         assert!(json.contains("\"store_speedup\""));

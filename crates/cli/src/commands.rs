@@ -23,10 +23,9 @@ COMMANDS
   run         run a measurement campaign ('campaign' is an alias)
               --pattern race|amg2013|mesh|collectives  --procs N  --nd P
               --runs N  --iterations N  --nodes N  --seed S  [--json]
-              [--gram-schedule barrier|pipelined]  kernel-stage schedule
-                                (default pipelined; results bit-identical)
-              [--dot scalar|blocked]  sparse-dot inner loop (default scalar;
-                                blocked is faster and bit-identical)
+              [--dot scalar|blocked]  sparse-dot inner loop of the Gram
+                                append and landmark paths (default scalar;
+                                blocked is bit-identical)
               [--gram-approx exact|landmarks=K]  opt-in Nystrom approximation
                                 of the Gram matrix from K landmark runs
                                 (R*K dots instead of R^2/2); reports a
@@ -209,9 +208,6 @@ fn campaign_of(args: &Args) -> Result<CampaignConfig, String> {
         .iterations(args.get_parsed("iterations", 1u32)?)
         .nodes(args.get_parsed("nodes", 1u32)?)
         .base_seed(args.get_parsed("seed", 1u64)?);
-    if let Some(s) = args.get("gram-schedule") {
-        cfg = cfg.schedule(s.parse()?);
-    }
     if let Some(s) = args.get("dot") {
         cfg = cfg.dot(s.parse()?);
     }

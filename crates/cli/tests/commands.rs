@@ -51,14 +51,12 @@ fn campaign_alias_with_metrics_report() {
     ])
     .unwrap();
     let json = std::fs::read_to_string(&path).unwrap();
-    // Every pipeline stage appears with a recorded wall-time (the default
-    // schedule is the fused kernel pipeline).
+    // Every pipeline stage appears with a recorded wall-time.
     for stage in [
         "campaign/simulate",
         "campaign/graph",
-        "campaign/kernel/pipeline",
-        "campaign/kernel/pipeline/features",
-        "campaign/kernel/pipeline/gram",
+        "campaign/kernel/features",
+        "campaign/kernel/gram",
     ] {
         assert!(json.contains(stage), "missing {stage} in {json}");
     }
@@ -67,52 +65,10 @@ fn campaign_alias_with_metrics_report() {
         "sim/matched",
         "sim/wildcard_matches",
         "kernel/dot_products",
-        "kernel/pipeline_tasks",
     ] {
         assert!(json.contains(counter), "missing {counter} in {json}");
     }
     std::fs::remove_file(path).ok();
-}
-
-#[test]
-fn campaign_barrier_schedule_reports_stage_spans() {
-    let dir = std::env::temp_dir().join("anacin_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("metrics_barrier.json");
-    run(&[
-        "campaign",
-        "--pattern",
-        "race",
-        "--procs",
-        "6",
-        "--runs",
-        "5",
-        "--gram-schedule",
-        "barrier",
-        "--metrics",
-        path.to_str().unwrap(),
-    ])
-    .unwrap();
-    let json = std::fs::read_to_string(&path).unwrap();
-    for stage in ["campaign/kernel/features", "campaign/kernel/gram"] {
-        assert!(json.contains(stage), "missing {stage} in {json}");
-    }
-    assert!(!json.contains("kernel/pipeline_tasks"), "{json}");
-    std::fs::remove_file(path).ok();
-
-    // An unknown schedule is rejected with a parse error.
-    assert!(run(&[
-        "campaign",
-        "--pattern",
-        "race",
-        "--procs",
-        "4",
-        "--runs",
-        "2",
-        "--gram-schedule",
-        "fused",
-    ])
-    .is_err());
 }
 
 #[test]

@@ -5,15 +5,14 @@
 //! times to collect a sample of non-deterministic executions", §III-B),
 //! compressed from cluster-hours to milliseconds by the simulator.
 
-use crate::config::{CampaignConfig, GramApprox, GramSchedule};
+use crate::config::{CampaignConfig, GramApprox};
 use anacin_event_graph::EventGraph;
 use anacin_kernels::approx::landmark_gram;
 use anacin_kernels::feature::SparseFeatures;
 use anacin_kernels::kernel::GraphKernel;
 use anacin_kernels::matrix::{
-    gram_from_features_with_dot, parallel_features_with_metrics, KernelMatrix,
+    gram_from_features_with_metrics, parallel_features_with_metrics, KernelMatrix,
 };
-use anacin_kernels::pipeline::gram_pipelined_seeded_with_dot;
 use anacin_mpisim::engine::{simulate_traced_counted, SimError};
 use anacin_mpisim::program::Program;
 use anacin_mpisim::stack::CallStackTable;
@@ -271,61 +270,22 @@ pub fn run_traces_cancellable(
     Ok(done)
 }
 
-/// The kernel stage shared by the materialised and streaming campaign
-/// runners: exact (barrier or pipelined, either dot kind) or
-/// landmark-approximate, per the config. The exact output is bit-identical
-/// across schedules, dot kinds, and thread counts; the approximate matrix
-/// is produced only when explicitly opted into via `config.approx`.
+/// The kernel stage of the materialised campaign runner: extract every
+/// run's features in parallel, then [`gram_stage_from_features`].
 pub(crate) fn gram_stage(
     kernel: &dyn GraphKernel,
     graphs: &[EventGraph],
     config: &CampaignConfig,
     metrics: Option<&MetricsRegistry>,
 ) -> KernelMatrix {
-    match config.approx {
-        GramApprox::Landmarks(k) => {
-            let feats = parallel_features_with_metrics(kernel, graphs, config.threads, metrics);
-            landmark_gram(
-                &kernel.name(),
-                &feats,
-                k,
-                config.threads,
-                config.dot,
-                metrics,
-            )
-            .matrix
-        }
-        // Both schedules are bit-identical (asserted in tests/pipeline.rs);
-        // only the span/counter shape under `campaign/kernel` differs.
-        GramApprox::Exact => match config.schedule {
-            GramSchedule::Barrier => {
-                let feats = parallel_features_with_metrics(kernel, graphs, config.threads, metrics);
-                gram_from_features_with_dot(
-                    &kernel.name(),
-                    &feats,
-                    config.threads,
-                    config.dot,
-                    metrics,
-                )
-            }
-            GramSchedule::Pipelined => {
-                let seeds = (0..graphs.len()).map(|_| None).collect();
-                gram_pipelined_seeded_with_dot(
-                    kernel,
-                    graphs,
-                    seeds,
-                    config.threads,
-                    config.dot,
-                    metrics,
-                )
-                .1
-            }
-        },
-    }
+    let feats = parallel_features_with_metrics(kernel, graphs, config.threads, metrics);
+    gram_stage_from_features(&kernel.name(), &feats, config, metrics)
 }
 
-/// The kernel stage over precomputed feature vectors — the streaming
-/// runner's variant, where every graph is already dropped by the time the
+/// The kernel stage over precomputed feature vectors: the exact k-way
+/// Gram (bit-identical across dot kinds and thread counts) or, only when
+/// `config.approx` opts in, the landmark approximation. The streaming
+/// runner calls it directly, since its graphs are dropped by the time the
 /// Gram matrix is assembled.
 pub(crate) fn gram_stage_from_features(
     kernel_name: &str,
@@ -338,7 +298,7 @@ pub(crate) fn gram_stage_from_features(
             landmark_gram(kernel_name, feats, k, config.threads, config.dot, metrics).matrix
         }
         GramApprox::Exact => {
-            gram_from_features_with_dot(kernel_name, feats, config.threads, config.dot, metrics)
+            gram_from_features_with_metrics(kernel_name, feats, config.threads, metrics)
         }
     }
 }
@@ -461,10 +421,9 @@ impl StreamingCampaignResult {
 ///
 /// The matrix is bit-identical to [`run_campaign`]'s for the same
 /// configuration: per-run simulation, graph construction, and feature
-/// extraction are the exact same deterministic code, and the Gram stage
-/// reuses the pair-blocked schedule of
-/// [`gram_from_features_with_metrics`], which computes every `(i, j)`
-/// product once by the same expression regardless of thread count.
+/// extraction are the exact same deterministic code, and the Gram stage is
+/// the same [`gram_stage_from_features`], which does not depend on the
+/// thread count.
 pub fn run_campaign_streaming(
     config: &CampaignConfig,
 ) -> Result<StreamingCampaignResult, CampaignError> {
@@ -720,16 +679,13 @@ mod tests {
         let report = reg.report();
         // Per-stage wall-times present (non-negative by construction: the
         // report stores unsigned nanoseconds) for every pipeline stage.
-        // The default schedule is pipelined, so the kernel stage reports
-        // the fused span with its features/gram split.
         for stage in [
             "campaign",
             "campaign/simulate",
             "campaign/graph",
             "campaign/kernel",
-            "campaign/kernel/pipeline",
-            "campaign/kernel/pipeline/features",
-            "campaign/kernel/pipeline/gram",
+            "campaign/kernel/features",
+            "campaign/kernel/gram",
         ] {
             let s = report
                 .span(stage)
@@ -746,27 +702,10 @@ mod tests {
         assert_eq!(report.counter("graph/nodes"), Some(nodes as u64));
         assert_eq!(report.counter("kernel/features"), Some(5));
         assert_eq!(report.counter("kernel/dot_products"), Some(5 * 6 / 2));
-        assert_eq!(report.counter("kernel/pipeline_tasks"), Some(5 + 5 * 6 / 2));
         assert_eq!(report.counter("stats/nan_distances"), Some(0));
         // The metrics run is bit-identical to an unobserved one.
         let plain = run_campaign(&cfg).unwrap();
         assert_eq!(r.distance_sample(), plain.distance_sample());
-    }
-
-    #[test]
-    fn barrier_schedule_reports_stage_spans_and_matches_pipelined() {
-        let reg = MetricsRegistry::new();
-        let cfg = CampaignConfig::new(Pattern::MessageRace, 6)
-            .runs(5)
-            .schedule(GramSchedule::Barrier);
-        let r = run_campaign_with_metrics(&cfg, Some(&reg)).unwrap();
-        let report = reg.report();
-        for stage in ["campaign/kernel/features", "campaign/kernel/gram"] {
-            assert!(report.span(stage).is_some(), "missing span {stage}");
-        }
-        assert!(report.counter("kernel/pipeline_tasks").is_none());
-        let pipelined = run_campaign(&cfg.clone().schedule(GramSchedule::Pipelined)).unwrap();
-        assert_eq!(r.matrix, pipelined.matrix);
     }
 
     #[test]
@@ -853,19 +792,16 @@ mod tests {
     }
 
     #[test]
-    fn blocked_dot_campaign_is_bit_identical_for_both_schedules() {
+    fn blocked_dot_campaign_is_bit_identical() {
         use anacin_kernels::feature::DotKind;
         let base = run_campaign(&CampaignConfig::new(Pattern::MessageRace, 6).runs(6)).unwrap();
-        for schedule in [GramSchedule::Barrier, GramSchedule::Pipelined] {
-            let cfg = CampaignConfig::new(Pattern::MessageRace, 6)
-                .runs(6)
-                .schedule(schedule)
-                .dot(DotKind::Blocked);
-            let r = run_campaign(&cfg).unwrap();
-            assert_eq!(r.matrix, base.matrix, "schedule={schedule}");
-            let s = run_campaign_streaming(&cfg).unwrap();
-            assert_eq!(s.matrix, base.matrix, "streaming, schedule={schedule}");
-        }
+        let cfg = CampaignConfig::new(Pattern::MessageRace, 6)
+            .runs(6)
+            .dot(DotKind::Blocked);
+        let r = run_campaign(&cfg).unwrap();
+        assert_eq!(r.matrix, base.matrix);
+        let s = run_campaign_streaming(&cfg).unwrap();
+        assert_eq!(s.matrix, base.matrix, "streaming");
     }
 
     #[test]

@@ -21,11 +21,10 @@
 //! warm: the enumeration re-runs (it is fast and pure), but replays hit.
 
 use crate::campaign::{CampaignError, CampaignResult};
-use crate::config::{CampaignConfig, GramSchedule};
+use crate::config::CampaignConfig;
 use crate::incremental::{absorb_setting, get_or_heal, IncrementalError};
 use anacin_event_graph::EventGraph;
 use anacin_kernels::matrix::{gram_matrix_with_metrics, KernelMatrix};
-use anacin_kernels::pipeline::gram_pipelined_with_metrics;
 use anacin_mpisim::engine::SimError;
 use anacin_mpisim::explore::{
     explore, flush_explore_metrics, simulate_scheduled, ExploreConfig, ExploreReport, Schedule,
@@ -296,14 +295,7 @@ fn explore_campaign_inner(
     let kernel = config.kernel.instantiate();
     let matrix = {
         let _s = metrics.map(|m| m.span("kernel"));
-        match config.schedule {
-            GramSchedule::Barrier => {
-                gram_matrix_with_metrics(kernel.as_ref(), &graphs, config.threads, metrics)
-            }
-            GramSchedule::Pipelined => {
-                gram_pipelined_with_metrics(kernel.as_ref(), &graphs, config.threads, metrics)
-            }
-        }
+        gram_matrix_with_metrics(kernel.as_ref(), &graphs, config.threads, metrics)
     };
     Ok(ExploreCampaignResult {
         config: config.clone(),

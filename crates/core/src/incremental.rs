@@ -25,19 +25,18 @@
 //!
 //! Fingerprints absorb a domain-separation label, [`KEY_SCHEMA`], and the
 //! canonical JSON of each semantic field (the config types' serde
-//! encodings are stable). `threads` and `schedule` are deliberately
-//! excluded: thread count and kernel-stage scheduling never change
-//! results, so warm hits survive re-running on a different machine shape
-//! or under a different schedule. Changing pipeline semantics requires
-//! bumping [`KEY_SCHEMA`], which cleanly invalidates every old key.
+//! encodings are stable). `threads` and `dot` are deliberately excluded:
+//! thread count and dot implementation never change results, so warm
+//! hits survive re-running on a different machine shape. Changing
+//! pipeline semantics requires bumping [`KEY_SCHEMA`], which cleanly
+//! invalidates every old key.
 
 use crate::campaign::{check_cancel, CampaignError, CampaignResult, Interrupted};
-use crate::config::{CampaignConfig, GramApprox, GramSchedule};
+use crate::config::{CampaignConfig, GramApprox};
 use anacin_event_graph::EventGraph;
 use anacin_kernels::approx::landmark_gram;
 use anacin_kernels::feature::SparseFeatures;
-use anacin_kernels::matrix::{gram_append, gram_from_features_with_dot, KernelMatrix};
-use anacin_kernels::pipeline::gram_pipelined_seeded_with_dot;
+use anacin_kernels::matrix::{gram_append, gram_from_features_with_metrics, KernelMatrix};
 use anacin_mpisim::engine::{simulate_traced_counted, SimError};
 use anacin_mpisim::program::Program;
 use anacin_mpisim::trace::Trace;
@@ -323,12 +322,12 @@ pub fn run_campaign_incremental_cancellable(
                 None => missing.push(run as usize),
             }
         }
+        let feats = fill_missing_features(config, store, &graphs, &missing, feats, metrics)?;
         if let GramApprox::Landmarks(k) = config.approx {
             // Approximate matrices are never published to (or read from)
             // the store: campaign-level keys name exact artifacts only,
             // so an approximate run can never poison a warm exact one.
             // Per-run features still warm-hit and publish as usual.
-            let feats = fill_missing_features(config, store, &graphs, &missing, feats, metrics)?;
             landmark_gram(
                 &kernel.name(),
                 &feats,
@@ -340,47 +339,18 @@ pub fn run_campaign_incremental_cancellable(
             .matrix
         } else {
             let campaign_fp = campaign_fingerprint(config);
-            let stored = get_or_heal::<KernelMatrix>(store, campaign_fp)?;
-            if !missing.is_empty() && stored.is_none() && config.schedule == GramSchedule::Pipelined
-            {
-                // Fused cold/mixed path: warm features seed the pipeline,
-                // missing ones are extracted by it, and dot products overlap
-                // the feature tail. The pipeline reads `graphs` in place, so
-                // no missing-graph clones are made. Bit-identical to the
-                // barrier path below (asserted in tests/pipeline.rs).
-                let (all, m) = gram_pipelined_seeded_with_dot(
-                    kernel.as_ref(),
-                    &graphs,
-                    feats,
-                    config.threads,
-                    config.dot,
-                    metrics,
-                );
-                for &i in &missing {
-                    store.put(features_fingerprint(config, i as u32), &all[i])?;
-                }
-                store.put(campaign_fp, &m)?;
-                store.put(campaign_fp, &DistanceSample(m.pairwise_distances()))?;
-                m
-            } else {
-                let feats =
-                    fill_missing_features(config, store, &graphs, &missing, feats, metrics)?;
-                match stored {
-                    Some(m) => m,
-                    None => {
-                        // Fully warm features (or barrier schedule): the plain
-                        // from-features Gram — the warm path never changes.
-                        let m = gram_from_features_with_dot(
-                            &kernel.name(),
-                            &feats,
-                            config.threads,
-                            config.dot,
-                            metrics,
-                        );
-                        store.put(campaign_fp, &m)?;
-                        store.put(campaign_fp, &DistanceSample(m.pairwise_distances()))?;
-                        m
-                    }
+            match get_or_heal::<KernelMatrix>(store, campaign_fp)? {
+                Some(m) => m,
+                None => {
+                    let m = gram_from_features_with_metrics(
+                        &kernel.name(),
+                        &feats,
+                        config.threads,
+                        metrics,
+                    );
+                    store.put(campaign_fp, &m)?;
+                    store.put(campaign_fp, &DistanceSample(m.pairwise_distances()))?;
+                    m
                 }
             }
         }
@@ -467,10 +437,8 @@ fn load_or_compute_runs(
     Ok((traces, graphs))
 }
 
-/// Extract (and publish) the feature vectors listed in `missing`, then
-/// unwrap the fully-filled slot vector. Barrier-style extraction — the
-/// same code the mixed/barrier exact path has always used, so published
-/// bytes are unchanged.
+/// Extract (in parallel, straight from `graphs`) and publish the feature
+/// vectors listed in `missing`, then unwrap the fully-filled slot vector.
 fn fill_missing_features(
     config: &CampaignConfig,
     store: &ArtifactStore,
@@ -481,10 +449,10 @@ fn fill_missing_features(
 ) -> Result<Vec<SparseFeatures>, StoreError> {
     if !missing.is_empty() {
         let kernel = config.kernel.instantiate();
-        let missing_graphs: Vec<EventGraph> = missing.iter().map(|&i| graphs[i].clone()).collect();
-        let computed = anacin_kernels::matrix::parallel_features_with_metrics(
+        let computed = anacin_kernels::matrix::parallel_features_at(
             kernel.as_ref(),
-            &missing_graphs,
+            graphs,
+            missing,
             config.threads,
             metrics,
         );
@@ -523,8 +491,8 @@ fn finish_counters(
 /// The extended matrix is published under the extended run-set
 /// fingerprint and is **byte-identical** to a cold recompute (asserted by
 /// the differential tests below): `gram_append` copies the stored values
-/// and computes each new entry by the exact expression the full schedule
-/// uses.
+/// and computes each new entry with the pairwise dot, which the k-way
+/// cold Gram equals bit for bit.
 ///
 /// With no stored prefix (or an approximate config, which never publishes
 /// campaign-level artifacts) this delegates to
@@ -782,15 +750,6 @@ mod tests {
         threaded.threads = 1;
         assert_eq!(base, run_fingerprint(&threaded, 0));
         assert_eq!(campaign_fingerprint(&cfg), campaign_fingerprint(&threaded));
-        // Neither is the kernel-stage schedule: both schedules produce
-        // bit-identical artifacts, so they share warm store entries.
-        let barrier = cfg.clone().schedule(GramSchedule::Barrier);
-        assert_eq!(base, run_fingerprint(&barrier, 0));
-        assert_eq!(
-            features_fingerprint(&cfg, 0),
-            features_fingerprint(&barrier, 0)
-        );
-        assert_eq!(campaign_fingerprint(&cfg), campaign_fingerprint(&barrier));
         // Nor the dot-product implementation (bit-identical results) or
         // the approximation mode (approximate matrices are never stored,
         // so the key may only ever name exact artifacts).
@@ -820,7 +779,6 @@ mod tests {
         let appended = run_campaign_append_with_metrics(&cfg7, &store, Some(&reg)).unwrap();
         let report = reg.report();
         assert_eq!(report.counter("kernel/dot_products"), Some(7));
-        assert_eq!(report.counter("kernel/pipeline_tasks"), Some(7));
         assert_eq!(report.counter("kernel/features"), Some(1));
         assert_eq!(report.counter("sim/runs"), Some(1));
 

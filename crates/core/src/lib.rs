@@ -48,9 +48,7 @@ pub mod prelude {
         run_traces_with_metrics, CampaignError, CampaignResult, Interrupted,
         StreamingCampaignResult,
     };
-    pub use crate::config::{
-        default_threads, CampaignConfig, GramApprox, GramSchedule, KernelChoice,
-    };
+    pub use crate::config::{default_threads, CampaignConfig, GramApprox, KernelChoice};
     pub use crate::explore::{
         explore_campaign, explore_campaign_incremental, explore_campaign_incremental_observed,
         explore_campaign_observed, explore_fingerprint, ExploreCampaignResult, ExploreCoverage,
@@ -67,7 +65,9 @@ pub mod prelude {
         campaign_label, measurement_json, ranking_table, sweep_table, sweep_text, ExploreSection,
         MeasurementReport, RunWithExploreReport,
     };
-    pub use crate::root_cause::{analyze, CallstackRanking, RootCauseConfig};
+    pub use crate::root_cause::{
+        analyze, window_scores, CallstackRanking, RootCauseConfig, WindowScore,
+    };
     pub use crate::sweep::{
         sweep_iterations, sweep_iterations_cancellable, sweep_iterations_instrumented,
         sweep_iterations_instrumented_cancellable, sweep_iterations_stored,
@@ -82,6 +82,6 @@ pub mod prelude {
 }
 
 pub use campaign::{run_campaign, run_campaign_with_metrics, CampaignError, CampaignResult};
-pub use config::{CampaignConfig, GramApprox, GramSchedule, KernelChoice};
+pub use config::{CampaignConfig, GramApprox, KernelChoice};
 pub use incremental::{run_campaign_incremental, IncrementalError};
 pub use measure::NdMeasurement;

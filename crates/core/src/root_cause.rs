@@ -10,7 +10,8 @@
 //! 1. slice every run's event graph into the same number of windows by
 //!    relative program position (run-invariant membership);
 //! 2. score each window by how much the runs *disagree* in it (mean
-//!    pairwise L1 distance between per-window label histograms);
+//!    pairwise L1 distance between per-window label histograms, computed
+//!    exactly in integers from each label's sorted per-run counts);
 //! 3. keep the top windows, and within them attribute divergence to
 //!    receive events: each receive is weighted by how much its *own
 //!    label* disagrees across runs in that window, so a deterministic
@@ -25,7 +26,7 @@ use anacin_event_graph::label::{initial_labels, LabelPolicy};
 use anacin_event_graph::slice::slice_by_position;
 use anacin_mpisim::stack::CallStackId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Root-cause analysis parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -81,63 +82,144 @@ impl CallstackRanking {
     }
 }
 
-/// Per-window label histograms for one run.
-fn window_histograms(
-    g: &anacin_event_graph::EventGraph,
-    slices: usize,
-    policy: LabelPolicy,
-) -> Vec<HashMap<u64, f64>> {
-    let labels = initial_labels(g, policy);
-    slice_by_position(g, slices)
-        .into_iter()
-        .map(|s| {
-            let mut h: HashMap<u64, f64> = HashMap::new();
-            for id in &s.nodes {
-                *h.entry(labels[id.index()]).or_insert(0.0) += 1.0;
+/// How much the runs disagree in one window.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowScore {
+    /// Mean pairwise L1 distance between the runs' label histograms.
+    pub divergence: f64,
+    /// Per label, sorted by label: the mean pairwise `|Δcount|` across runs.
+    pub labels: Vec<(u64, f64)>,
+}
+
+/// Every window's label disagreement and receives, from one pass over the
+/// runs (labels and slices are computed once per run).
+struct Windows {
+    /// Run pairs compared, `R(R−1)/2`.
+    pairs: f64,
+    /// Per window: label → dense index.
+    labels: Vec<HashMap<u64, u32>>,
+    /// Per window and dense label: `Σ_{i<j} |cᵢ − cⱼ|` over the runs'
+    /// counts, exact.
+    label_l1: Vec<Vec<u64>>,
+    /// Every run's receives as (dense label, call path), window by window
+    /// in slice order: run `r`'s window `s` is
+    /// `recvs[bounds[r·S + s]..bounds[r·S + s + 1]]` for `S` windows.
+    recvs: Vec<(u32, CallStackId)>,
+    bounds: Vec<usize>,
+}
+
+impl Windows {
+    fn count(result: &CampaignResult, config: &RootCauseConfig) -> Windows {
+        let runs = result.graphs.len();
+        let mut labels: Vec<HashMap<u64, u32>> = vec![HashMap::new(); config.slices];
+        // Per window, dense per-run integer columns: `counts[s][l * runs +
+        // r]` is how often window `s`'s `l`-th label occurs in run `r`.
+        let mut counts: Vec<Vec<u32>> = vec![Vec::new(); config.slices];
+        let mut recvs = Vec::new();
+        let mut bounds = vec![0];
+        for (r, g) in result.graphs.iter().enumerate() {
+            let node_labels = initial_labels(g, config.policy);
+            for (s, slice) in slice_by_position(g, config.slices).into_iter().enumerate() {
+                let (index, column) = (&mut labels[s], &mut counts[s]);
+                for id in slice.nodes {
+                    let next = index.len() as u32;
+                    let l = *index.entry(node_labels[id.index()]).or_insert_with(|| {
+                        column.resize(column.len() + runs, 0);
+                        next
+                    });
+                    column[l as usize * runs + r] += 1;
+                    let node = g.node(id);
+                    if node.kind.is_recv() {
+                        recvs.push((l, node.stack));
+                    }
+                }
+                bounds.push(recvs.len());
             }
-            h
+        }
+        let label_l1 = counts
+            .iter_mut()
+            .map(|c| c.chunks_exact_mut(runs).map(pairwise_l1).collect())
+            .collect();
+        Windows {
+            pairs: (runs * (runs - 1) / 2) as f64,
+            labels,
+            label_l1,
+            recvs,
+            bounds,
+        }
+    }
+
+    /// Window `s`'s mean pairwise L1 distance. Its labels' integer sums
+    /// add up exactly, and one division follows, so this is the same bits
+    /// as averaging the pairwise float L1 distances (integers too).
+    fn divergence(&self, s: usize) -> f64 {
+        self.label_l1[s].iter().sum::<u64>() as f64 / self.pairs
+    }
+
+    /// Mean pairwise `|Δcount|` of window `s`'s `l`-th label.
+    fn label_divergence(&self, s: usize, l: u32) -> f64 {
+        self.label_l1[s][l as usize] as f64 / self.pairs
+    }
+}
+
+/// `Σ_{i<j} |cᵢ − cⱼ|` over one label's per-run counts, exactly: after an
+/// ascending sort the `k`-th count is the larger side of `k` pairs and the
+/// smaller side of `R − 1 − k`, so the sum is `Σ_k c₍ₖ₎·(2k − R + 1)`.
+fn pairwise_l1(column: &mut [u32]) -> u64 {
+    column.sort_unstable();
+    let r = column.len() as i64;
+    let sum: i64 = column
+        .iter()
+        .enumerate()
+        .map(|(k, &c)| c as i64 * (2 * k as i64 - r + 1))
+        .sum();
+    sum as u64
+}
+
+/// Score every window of a finished campaign: its divergence and each
+/// label's disagreement, as [`analyze`] ranks them.
+///
+/// # Panics
+/// As [`analyze`].
+pub fn window_scores(result: &CampaignResult, config: &RootCauseConfig) -> Vec<WindowScore> {
+    check_inputs(result, config);
+    let w = Windows::count(result, config);
+    (0..config.slices)
+        .map(|s| {
+            let mut labels: Vec<(u64, f64)> = w.labels[s]
+                .iter()
+                .map(|(&label, &l)| (label, w.label_divergence(s, l)))
+                .collect();
+            labels.sort_unstable_by_key(|&(label, _)| label);
+            WindowScore {
+                divergence: w.divergence(s),
+                labels,
+            }
         })
         .collect()
 }
 
-fn l1(a: &HashMap<u64, f64>, b: &HashMap<u64, f64>) -> f64 {
-    let mut keys: std::collections::HashSet<u64> = a.keys().copied().collect();
-    keys.extend(b.keys().copied());
-    keys.into_iter()
-        .map(|k| (a.get(&k).copied().unwrap_or(0.0) - b.get(&k).copied().unwrap_or(0.0)).abs())
-        .sum()
-}
-
-/// Run the analysis over a finished campaign.
-///
-/// # Panics
-/// Panics when the campaign has fewer than two runs (nothing to compare)
-/// or `config.slices == 0`.
-pub fn analyze(result: &CampaignResult, config: &RootCauseConfig) -> CallstackRanking {
+fn check_inputs(result: &CampaignResult, config: &RootCauseConfig) {
     assert!(
         result.graphs.len() >= 2,
         "need at least two runs to compare"
     );
     assert!(config.slices > 0, "need at least one slice");
-    let per_run: Vec<Vec<HashMap<u64, f64>>> = result
-        .graphs
-        .iter()
-        .map(|g| window_histograms(g, config.slices, config.policy))
-        .collect();
-    // Divergence per window: mean pairwise L1 across runs.
-    let runs = per_run.len();
-    let mut divergence = vec![0.0; config.slices];
-    for (s, div) in divergence.iter_mut().enumerate() {
-        let mut total = 0.0;
-        let mut pairs = 0u64;
-        for i in 0..runs {
-            for j in (i + 1)..runs {
-                total += l1(&per_run[i][s], &per_run[j][s]);
-                pairs += 1;
-            }
-        }
-        *div = if pairs > 0 { total / pairs as f64 } else { 0.0 };
-    }
+}
+
+/// Run the analysis over a finished campaign.
+///
+/// Divergences are exact integer pairwise-L1 sums divided once by the
+/// pair count (see [`window_scores`]), and the normalising total is
+/// summed in call-path order, so the ranking depends on no hash order.
+///
+/// # Panics
+/// Panics when the campaign has fewer than two runs (nothing to compare)
+/// or `config.slices == 0`.
+pub fn analyze(result: &CampaignResult, config: &RootCauseConfig) -> CallstackRanking {
+    check_inputs(result, config);
+    let w = Windows::count(result, config);
+    let divergence: Vec<f64> = (0..config.slices).map(|s| w.divergence(s)).collect();
     // High-ND windows: top fraction of strictly positive divergences.
     let mut positive: Vec<usize> = (0..config.slices)
         .filter(|&s| divergence[s] > 0.0)
@@ -152,61 +234,28 @@ pub fn analyze(result: &CampaignResult, config: &RootCauseConfig) -> CallstackRa
         .min(positive.len());
     let mut high: Vec<usize> = positive.into_iter().take(keep).collect();
     high.sort_unstable();
-    // Per-window, per-label disagreement: how much each label's count
-    // varies across runs (mean pairwise |Δcount|). A receive whose label
-    // is identical in every run carries no root-cause signal.
-    let label_divergence: Vec<HashMap<u64, f64>> = high
-        .iter()
-        .map(|&s| {
-            let mut keys: std::collections::HashSet<u64> = Default::default();
-            for hist in per_run.iter().map(|r| &r[s]) {
-                keys.extend(hist.keys().copied());
-            }
-            let mut out = HashMap::new();
-            for key in keys {
-                let mut total = 0.0;
-                let mut pairs = 0u64;
-                for i in 0..runs {
-                    for j in (i + 1)..runs {
-                        let a = per_run[i][s].get(&key).copied().unwrap_or(0.0);
-                        let b = per_run[j][s].get(&key).copied().unwrap_or(0.0);
-                        total += (a - b).abs();
-                        pairs += 1;
-                    }
-                }
-                out.insert(key, if pairs > 0 { total / pairs as f64 } else { 0.0 });
-            }
-            out
-        })
-        .collect();
-    // Attribute: each receive in a high window adds its label's
-    // disagreement to its call path.
-    let mut counts: HashMap<CallStackId, u64> = HashMap::new();
-    let mut weights: HashMap<CallStackId, f64> = HashMap::new();
-    for g in &result.graphs {
-        let labels = initial_labels(g, config.policy);
-        let slices = slice_by_position(g, config.slices);
-        for (hi, &s) in high.iter().enumerate() {
-            for &id in &slices[s].nodes {
-                let node = g.node(id);
-                if node.kind.is_recv() {
-                    *counts.entry(node.stack).or_insert(0) += 1;
-                    let w = label_divergence[hi]
-                        .get(&labels[id.index()])
-                        .copied()
-                        .unwrap_or(0.0);
-                    *weights.entry(node.stack).or_insert(0.0) += w;
-                }
+    // Attribute: each receive in a high window adds its label's mean
+    // pairwise disagreement to its call path. A receive whose label is
+    // identical in every run carries no root-cause signal.
+    let mut paths: BTreeMap<CallStackId, (u64, f64)> = BTreeMap::new();
+    for r in 0..result.graphs.len() {
+        for &s in &high {
+            let k = r * config.slices + s;
+            for &(l, stack) in &w.recvs[w.bounds[k]..w.bounds[k + 1]] {
+                let e = paths.entry(stack).or_insert((0, 0.0));
+                e.0 += 1;
+                e.1 += w.label_divergence(s, l);
             }
         }
     }
-    let total_weight: f64 = weights.values().sum();
+    // Normalise in call-path order, so the total does not depend on any
+    // hash order.
+    let total_weight = paths.values().fold(0.0, |t, &(_, w)| t + w);
     let stacks = result.stacks();
-    let mut entries: Vec<CallstackFrequency> = counts
+    let mut entries: Vec<CallstackFrequency> = paths
         .into_iter()
-        .map(|(id, count)| {
+        .map(|(id, (count, w))| {
             let cs = stacks.resolve(id);
-            let w = weights.get(&id).copied().unwrap_or(0.0);
             CallstackFrequency {
                 stack: cs.to_string(),
                 leaf: cs.leaf().unwrap_or("<unknown>").to_string(),

@@ -16,16 +16,18 @@
 //!   normalisation totals) accumulates in increasing-id order, so each
 //!   value is a pure function of the *contents*, never of instance
 //!   identity. Two extractions of φ(G) in different processes (or the
-//!   pipelined and barrier Gram schedules) produce bit-identical numbers
-//!   even for kernels with non-integer weights, where float summation
-//!   order would otherwise leak through. The HashMap-backed predecessor
+//!   k-way Gram and a pairwise dot) produce bit-identical numbers even
+//!   for kernels with non-integer weights, where float summation order
+//!   would otherwise leak through. The HashMap-backed predecessor
 //!   violated this: iteration order depended on each map's random hasher
 //!   seed.
 
-/// Which dot-product implementation the Gram stage uses.
+/// Which dot-product implementation the pairwise kernel paths
+/// ([`gram_append`](crate::matrix::gram_append) and the landmark strips)
+/// use. The full Gram matrix is one k-way merge and takes no dot.
 ///
-/// Purely an execution-strategy knob, like the thread count and the gram
-/// schedule: both kinds produce **bit-identical** sums (the blocked variant
+/// Purely an execution-strategy knob, like the thread count: both kinds
+/// produce **bit-identical** sums (the blocked variant
 /// only skips runs of ids that match nothing, and a skipped non-match
 /// contributes exactly `+0.0`), so the choice is excluded from
 /// incremental-store fingerprints.
@@ -271,9 +273,16 @@ impl SparseFeatures {
         sum
     }
 
-    /// Squared Euclidean norm, `⟨φ, φ⟩`.
+    /// Squared Euclidean norm, `⟨φ, φ⟩`: bit-identical to `self.dot(self)`,
+    /// empty vector included (the fold starts at `+0.0`, as `dot` does;
+    /// `f64: Sum` starts at `-0.0`).
     pub fn norm_sq(&self) -> f64 {
-        self.map.iter().map(|&(_, w)| w * w).sum()
+        self.map.iter().fold(0.0, |sum, &(_, w)| sum + w * w)
+    }
+
+    /// The `(id, weight)` entries, sorted by id.
+    pub(crate) fn entries(&self) -> &[(u64, f64)] {
+        &self.map
     }
 
     /// Accumulate another vector into this one (merge-join; shared ids sum
@@ -368,7 +377,10 @@ mod tests {
         assert_eq!(a.dot(&b), 12.0);
         assert_eq!(b.dot(&a), 12.0);
         assert_eq!(a.norm_sq(), 13.0);
-        assert_eq!(a.dot(&a), a.norm_sq());
+        for v in [a, b, SparseFeatures::new()] {
+            assert_eq!(v.dot(&v).to_bits(), v.norm_sq().to_bits());
+        }
+        assert_eq!(SparseFeatures::new().norm_sq().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

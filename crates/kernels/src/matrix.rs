@@ -2,10 +2,12 @@
 //!
 //! A non-determinism measurement compares a *sample* of runs (the paper
 //! uses 20 per setting), which needs the full kernel matrix. Features are
-//! computed once per graph and dot products once per pair; both stages fan
-//! out over `std::thread::scope` workers pulling indices from an atomic
-//! counter — the natural shape for an embarrassingly parallel workload
-//! without pulling in a task scheduler.
+//! extracted once per graph on `std::thread::scope` workers pulling indices
+//! from an atomic counter. The Gram matrix is then one k-way merge over
+//! all sorted feature vectors (see [`gram_from_features_with_metrics`])
+//! rather than `R(R+1)/2` pairwise merge-joins: same-program WL vectors
+//! share only a small fraction of their ids, so most pairwise merge steps
+//! would add nothing.
 
 use crate::distance::kernel_distance;
 use crate::feature::{DotKind, SparseFeatures};
@@ -13,6 +15,7 @@ use crate::kernel::GraphKernel;
 use anacin_event_graph::EventGraph;
 use anacin_obs::MetricsRegistry;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, RwLock};
 
 /// A symmetric kernel (Gram) matrix over a sample of graphs.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,23 +123,60 @@ pub fn parallel_features(
 /// [`parallel_features`], additionally recording a `features` span, the
 /// `kernel/features` counter, and the `kernel/threads` gauge when a
 /// registry is supplied. Results are identical either way.
-///
-/// This is the barrier entry point to the fused pipeline's feature stage
-/// (`pipeline::features_stage`) — one scheduler serves both the barrier
-/// and pipelined paths.
 pub fn parallel_features_with_metrics(
     kernel: &dyn GraphKernel,
     graphs: &[EventGraph],
     threads: usize,
     metrics: Option<&MetricsRegistry>,
 ) -> Vec<SparseFeatures> {
-    let threads = threads.max(1).min(graphs.len().max(1));
+    let all: Vec<usize> = (0..graphs.len()).collect();
+    parallel_features_at(kernel, graphs, &all, threads, metrics)
+}
+
+/// [`parallel_features_with_metrics`] over `graphs[i]` for each `i` in
+/// `indices` only (in that order) — the incremental path, where the
+/// store already holds the other runs' vectors.
+pub fn parallel_features_at(
+    kernel: &dyn GraphKernel,
+    graphs: &[EventGraph],
+    indices: &[usize],
+    threads: usize,
+    metrics: Option<&MetricsRegistry>,
+) -> Vec<SparseFeatures> {
+    let n = indices.len();
+    let threads = threads.max(1).min(n.max(1));
     let _span = metrics.map(|m| m.span("features"));
     if let Some(m) = metrics {
-        m.counter("kernel/features").add(graphs.len() as u64);
+        m.counter("kernel/features").add(n as u64);
         m.set_gauge("kernel/threads", threads as f64);
     }
-    crate::pipeline::features_stage(kernel, graphs, threads, metrics)
+    let next = AtomicUsize::new(0);
+    let mut out: Vec<(usize, SparseFeatures)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let next = &next;
+                s.spawn(move || {
+                    let mut local = Vec::new();
+                    loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&i) = indices.get(k) else { break };
+                        // Per-graph span on the worker's own thread (path
+                        // "feature": worker threads have no span stack), so
+                        // traced timelines show each extraction.
+                        let _sp = metrics.map(|m| m.span("feature"));
+                        local.push((k, kernel.features(&graphs[i])));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("worker panicked"))
+            .collect()
+    });
+    out.sort_unstable_by_key(|&(k, _)| k);
+    out.into_iter().map(|(_, f)| f).collect()
 }
 
 /// Compute the Gram matrix of `graphs` under `kernel` using up to
@@ -162,81 +202,108 @@ pub fn gram_matrix_with_metrics(
     gram_from_features_with_metrics(&kernel.name(), &feats, threads, metrics)
 }
 
-/// Compute the Gram matrix directly from precomputed feature vectors —
-/// the warm path when per-run features come out of the artifact store
-/// instead of being re-extracted from graphs. Bit-identical to
-/// [`gram_matrix_with_metrics`] given the same features.
+/// The exact Gram matrix of `feats`, bit-identical to the matrix of
+/// pairwise [`SparseFeatures::dot`]s, from one k-way merge of all vectors.
+///
+/// 1. **Postings.** The id space is cut into contiguous shards (up to 32
+///    per worker, each of at least ~16k entries; smaller inputs use fewer
+///    workers), merged a batch of one shard per worker at a time. A shard
+///    merges every vector's ids in its range and keeps only ids held by
+///    two or more vectors, as groups of `(run, weight)` postings in
+///    increasing id order.
+/// 2. **Accumulation.** Each worker owns whole rows, handed out as
+///    pair-balanced `(k, n−1−k)` blocks so every worker gets about the
+///    same number of products. After each batch it walks the batch's
+///    posting groups in shard order (= id order) and adds `wᵢ·wⱼ` into
+///    `G[i][j]` for each owned `i` and each later `j` in the group.
+///
+/// The diagonal is each vector's [`SparseFeatures::norm_sq`].
+///
+/// **Bit-exactness.** The merge-join in `dot` adds `wᵢ·wⱼ` for every
+/// shared id in increasing id order, starting from `+0.0`, and `+0.0` for
+/// every other step, which never changes the sum. Each cell here receives
+/// exactly those products, in the same order, from `+0.0`; nothing else
+/// is added to it. So the matrix is the same bits at any thread or shard
+/// count. The cost is `O(nnz·log R)` merge steps plus one multiply-add per
+/// shared pair, instead of `O(R²)` merge-joins over every entry.
+///
+/// This is also the warm path, when per-run features come out of the
+/// artifact store instead of being re-extracted from graphs. The
+/// `kernel/dot_products` counter records the `R(R+1)/2` entries computed.
 pub fn gram_from_features_with_metrics(
     kernel_name: &str,
     feats: &[SparseFeatures],
     threads: usize,
     metrics: Option<&MetricsRegistry>,
 ) -> KernelMatrix {
-    gram_from_features_with_dot(kernel_name, feats, threads, DotKind::Scalar, metrics)
-}
-
-/// [`gram_from_features_with_metrics`] with an explicit dot-product
-/// implementation. Both [`DotKind`]s are bit-identical, so this is purely
-/// a throughput knob.
-pub fn gram_from_features_with_dot(
-    kernel_name: &str,
-    feats: &[SparseFeatures],
-    threads: usize,
-    dot: DotKind,
-    metrics: Option<&MetricsRegistry>,
-) -> KernelMatrix {
     let n = feats.len();
-    // Pairwise dot products for the upper triangle. Row i costs n − i dot
-    // products, so handing out whole rows front-to-back leaves the worker
-    // that drew row 0 doing ~n work while the one that drew row n−1 does 1.
-    // Instead hand out *pairs* of rows (k, n−1−k): every pair costs exactly
-    // n + 1 dot products, so the blocks are uniform regardless of which
-    // worker draws which. Each (i, j) product is still computed exactly once
-    // by the same expression, so the result is bit-identical to the serial
-    // computation no matter the thread count.
     let _span = metrics.map(|m| m.span("gram"));
     if let Some(m) = metrics {
         m.counter("kernel/dot_products")
             .add((n * (n + 1) / 2) as u64);
     }
-    let threads = threads.max(1).min(n.max(1));
+    if n == 0 {
+        return KernelMatrix::from_parts(0, Vec::new(), kernel_name.to_string());
+    }
+    // Every worker needs a shard of at least MIN_SHARD_ENTRIES, or its
+    // batch barriers cost more than its merge; small inputs run inline.
+    let nnz: usize = feats.iter().map(SparseFeatures::nnz).sum();
+    let threads = threads.clamp(1, (nnz / MIN_SHARD_ENTRIES).max(1));
+    let batches = (nnz / (threads * MIN_SHARD_ENTRIES)).clamp(1, MAX_BATCHES);
+    let bounds = shard_bounds(feats, batches * threads);
+    let shards = bounds.len() + 1;
+    let cuts = shard_cuts(feats, &bounds);
+    // Each batch merges one shard per worker into that worker's buffer;
+    // after a barrier, every worker adds all the batch's postings to its
+    // own rows, and a second barrier frees the buffers for the next batch.
+    // So only one batch's postings exist at a time.
+    let buffers: Vec<RwLock<Postings>> = (0..threads).map(|_| RwLock::default()).collect();
+    let barrier = Barrier::new(threads);
     let half = n.div_ceil(2);
-    let next_block = AtomicUsize::new(0);
-    let rows: Vec<Vec<(usize, Vec<f64>)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next_block = &next_block;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let k = next_block.fetch_add(1, Ordering::Relaxed);
-                        if k >= half {
-                            break;
-                        }
-                        // The middle row pairs with itself when n is odd.
-                        let pair = n - 1 - k;
-                        let block: &[usize] = if pair == k { &[k] } else { &[k, pair] };
-                        for &i in block {
-                            // Compute the upper triangle of row i (j >= i).
-                            let row: Vec<f64> =
-                                (i..n).map(|j| dot.dot(&feats[i], &feats[j])).collect();
-                            local.push((i, row));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
+    let worker = |w: usize| {
+        // Row blocks (k, n−1−k) cost about the same for every k, so
+        // dealing them round-robin balances the workers.
+        let owned = (w..half).step_by(threads).flat_map(|k| {
+            if n - 1 - k == k {
+                vec![k]
+            } else {
+                vec![k, n - 1 - k]
+            }
+        });
+        let mut block = RowBlock::new(n, owned.collect());
+        for first in (0..shards).step_by(threads) {
+            let mut buf = buffers[w].write().expect("postings lock");
+            shard_postings(feats, &cuts, first + w, &mut buf);
+            drop(buf);
+            barrier.wait();
+            if !block.owned.is_empty() {
+                let batch: Vec<_> = buffers
+                    .iter()
+                    .map(|b| b.read().expect("postings lock"))
+                    .collect();
+                block.accumulate(batch.iter().map(|p| &**p));
+            }
+            barrier.wait();
+        }
+        block
+    };
+    let blocks: Vec<RowBlock> = if threads == 1 {
+        vec![worker(0)]
+    } else {
+        std::thread::scope(|s| {
+            let worker = &worker;
+            let handles: Vec<_> = (0..threads).map(|w| s.spawn(move || worker(w))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+    };
     let mut values = vec![0.0; n * n];
-    for chunk in rows {
-        for (i, row) in chunk {
-            for (off, v) in row.into_iter().enumerate() {
-                let j = i + off;
+    for block in blocks {
+        for &i in &block.owned {
+            values[i * n + i] = feats[i].norm_sq();
+            for (j, &v) in (i + 1..n).zip(block.row(i)) {
                 values[i * n + j] = v;
                 values[j * n + i] = v;
             }
@@ -249,19 +316,191 @@ pub fn gram_from_features_with_dot(
     }
 }
 
+/// [`gram_from_features_with_metrics`]. `dot` has no effect on the full
+/// Gram matrix; it names the pairwise dot of [`gram_append`] and the
+/// landmark strips, so one config value can be passed to all three.
+pub fn gram_from_features_with_dot(
+    kernel_name: &str,
+    feats: &[SparseFeatures],
+    threads: usize,
+    _dot: DotKind,
+    metrics: Option<&MetricsRegistry>,
+) -> KernelMatrix {
+    gram_from_features_with_metrics(kernel_name, feats, threads, metrics)
+}
+
+/// The shared ids of one shard: `entries` holds `(run, weight)` postings
+/// grouped by id, groups in increasing id order and runs increasing within
+/// a group; group `g` is `entries[ends[g − 1]..ends[g]]`.
+#[derive(Default)]
+struct Postings {
+    entries: Vec<(u32, f64)>,
+    ends: Vec<usize>,
+    /// Scratch for the merge, kept to reuse its allocation.
+    keys: Vec<(u64, u64)>,
+}
+
+/// `shards − 1` ascending split ids: quantiles of evenly spaced ids drawn
+/// from every vector (about 64 per shard in all), so shards hold similar
+/// entry counts whatever the id distribution. Shard `k` covers
+/// `[bounds[k − 1], bounds[k])`, the first starting at 0 and the last
+/// running through `u64::MAX`.
+fn shard_bounds(feats: &[SparseFeatures], shards: usize) -> Vec<u64> {
+    let per_vector = shards * 64usize.div_ceil(feats.len().max(1));
+    let mut sample: Vec<u64> = feats
+        .iter()
+        .flat_map(|f| {
+            let e = f.entries();
+            (1..per_vector).filter_map(move |k| e.get(k * e.len() / per_vector).map(|&(id, _)| id))
+        })
+        .collect();
+    if sample.is_empty() {
+        return Vec::new();
+    }
+    sample.sort_unstable();
+    (1..shards)
+        .map(|k| sample[k * sample.len() / shards])
+        .collect()
+}
+
+/// Where each vector splits at `bounds`: shard `k` of vector `r` is its
+/// entries `cuts[r][k]..cuts[r][k + 1]`.
+fn shard_cuts(feats: &[SparseFeatures], bounds: &[u64]) -> Vec<Vec<usize>> {
+    feats
+        .iter()
+        .map(|f| {
+            let e = f.entries();
+            std::iter::once(0)
+                .chain(bounds.iter().map(|&b| e.partition_point(|&(id, _)| id < b)))
+                .chain(std::iter::once(e.len()))
+                .collect()
+        })
+        .collect()
+}
+
+/// Merge shard `k` of every vector into `out` (replacing its contents),
+/// keeping the ids two or more vectors hold. A shard past the last one is
+/// empty.
+///
+/// The merge is a stable sort by id of every part's `(id, run, index)`
+/// keys, laid out part after part: the sort merges the already sorted
+/// parts, and equal ids keep their run order. One scan then cuts the
+/// groups.
+fn shard_postings(feats: &[SparseFeatures], cuts: &[Vec<usize>], k: usize, out: &mut Postings) {
+    out.entries.clear();
+    out.ends.clear();
+    out.keys.clear();
+    if k + 1 >= cuts.first().map_or(0, Vec::len) {
+        return;
+    }
+    let parts: Vec<&[(u64, f64)]> = feats
+        .iter()
+        .zip(cuts)
+        .map(|(f, c)| &f.entries()[c[k]..c[k + 1]])
+        .collect();
+    for (r, p) in parts.iter().enumerate() {
+        assert!(r <= u32::MAX as usize && p.len() <= u32::MAX as usize);
+        out.keys.extend(
+            p.iter()
+                .enumerate()
+                .map(|(i, &(id, _))| (id, (r as u64) << 32 | i as u64)),
+        );
+    }
+    out.keys.sort_by_key(|&(id, _)| id);
+    let keys = &out.keys;
+    let mut start = 0;
+    while start < keys.len() {
+        let mut end = start + 1;
+        while end < keys.len() && keys[end].0 == keys[start].0 {
+            end += 1;
+        }
+        if end - start >= 2 {
+            out.entries.extend(keys[start..end].iter().map(|&(_, tag)| {
+                let (r, i) = (tag >> 32, tag as u32);
+                (r as u32, parts[r as usize][i as usize].1)
+            }));
+            out.ends.push(out.entries.len());
+        }
+        start = end;
+    }
+}
+
+/// Fewest entries worth a shard: below this, a batch's two barriers cost
+/// more than its merge.
+const MIN_SHARD_ENTRIES: usize = 16 * 1024;
+
+/// Most batches (shards per worker): enough that one batch's postings are
+/// a small fraction of all of them.
+const MAX_BATCHES: usize = 32;
+
+/// The Gram rows one worker owns, as it accumulates them.
+struct RowBlock {
+    owned: Vec<usize>,
+    /// `slot[i]`: where owned row `i` starts in `rows`, or `usize::MAX`
+    /// when not owned.
+    slot: Vec<usize>,
+    /// The upper triangle of each owned row `i`: columns `i + 1..n`, at
+    /// `rows[slot[i] + j − i − 1]`.
+    rows: Vec<f64>,
+}
+
+impl RowBlock {
+    fn new(n: usize, owned: Vec<usize>) -> RowBlock {
+        let mut slot = vec![usize::MAX; n];
+        let mut len = 0;
+        for &i in &owned {
+            slot[i] = len;
+            len += n - 1 - i;
+        }
+        RowBlock {
+            rows: vec![0.0; len],
+            owned,
+            slot,
+        }
+    }
+
+    /// Owned row `i`'s columns `i + 1..n`.
+    fn row(&self, i: usize) -> &[f64] {
+        &self.rows[self.slot[i]..self.slot[i] + self.slot.len() - 1 - i]
+    }
+
+    /// Add every posting group's products to the owned rows, in id order.
+    fn accumulate<'a>(&mut self, postings: impl Iterator<Item = &'a Postings>) {
+        let n = self.slot.len();
+        for p in postings {
+            let mut start = 0;
+            for &end in &p.ends {
+                let group = &p.entries[start..end];
+                for (a, &(i, wi)) in group.iter().enumerate() {
+                    let (i, base) = (i as usize, self.slot[i as usize]);
+                    if base == usize::MAX {
+                        continue;
+                    }
+                    // Runs increase within a group, so every later j > i.
+                    let row = &mut self.rows[base..base + n - 1 - i];
+                    for &(j, wj) in &group[a + 1..] {
+                        row[j as usize - i - 1] += wi * wj;
+                    }
+                }
+                start = end;
+            }
+        }
+    }
+}
+
 /// Grow a Gram matrix by one run: `feats` holds all `R + 1` feature
 /// vectors (the stored campaign's `R` plus the new run's, last), `prev`
 /// the stored `R × R` matrix. Only the new row/column is computed —
 /// exactly `R + 1` dot products instead of the `(R+1)(R+2)/2` a cold
-/// recompute pays — counted into `kernel/dot_products` **and**
-/// `kernel/pipeline_tasks` (each dot is one task; the new run's feature
-/// extraction is counted separately by the caller via `kernel/features`).
+/// recompute pays — counted into `kernel/dot_products` (the new run's
+/// feature extraction is counted separately by the caller via
+/// `kernel/features`).
 ///
 /// **Bit-exactness.** The copied `R × R` block is the stored matrix's
-/// bytes unchanged, and each new entry `(i, R)` is computed by the same
-/// expression a cold recompute of row `i`'s upper triangle uses
-/// (`dot(feats[i], feats[R])`), written once to its two mirror slots. So
-/// append-then-read equals cold recompute bit-for-bit — differential
+/// bytes unchanged, and each new entry `(i, R)` is `dot(feats[i],
+/// feats[R])`, written once to its two mirror slots — the value the k-way
+/// cold Gram produces bit for bit. So append-then-read equals cold
+/// recompute bit-for-bit — differential
 /// tested in this module, in `core::incremental`, and by proptest over
 /// random run subsets in `tests/properties.rs`.
 pub fn gram_append(
@@ -280,7 +519,6 @@ pub fn gram_append(
     let _span = metrics.map(|m| m.span("gram"));
     if let Some(m) = metrics {
         m.counter("kernel/dot_products").add(n as u64);
-        m.counter("kernel/pipeline_tasks").add(n as u64);
     }
     let mut values = vec![0.0; n * n];
     for i in 0..prev.n {
@@ -427,6 +665,65 @@ mod tests {
         }
     }
 
+    /// Groups of a split id space, flattened: `(run, weight bits)` per
+    /// posting and the size of every group, in order.
+    fn flatten(parts: &[Postings]) -> (Vec<(u32, u64)>, Vec<usize>) {
+        let mut entries = Vec::new();
+        let mut sizes = Vec::new();
+        for p in parts {
+            entries.extend(p.entries.iter().map(|&(r, w)| (r, w.to_bits())));
+            let mut start = 0;
+            for &end in &p.ends {
+                sizes.push(end - start);
+                start = end;
+            }
+        }
+        (entries, sizes)
+    }
+
+    /// Every way of cutting the id space yields the same posting groups in
+    /// the same order as one shard: a boundary on every id, on each single
+    /// id, and the quantile bounds the Gram uses, `u64::MAX` included.
+    #[test]
+    fn shards_partition_the_postings_exactly() {
+        let feats: Vec<SparseFeatures> = (0..7u64)
+            .map(|r| {
+                (0..60u64)
+                    .filter(|i| (i * 7 + r) % 3 != 0)
+                    .map(|i| (if i == 59 { u64::MAX } else { i * 3 }, 1.5 + r as f64))
+                    .collect()
+            })
+            .collect();
+        let split = |bounds: &[u64]| {
+            let cuts = shard_cuts(&feats, bounds);
+            let parts: Vec<Postings> = (0..=bounds.len())
+                .map(|k| {
+                    let mut p = Postings::default();
+                    shard_postings(&feats, &cuts, k, &mut p);
+                    p
+                })
+                .collect();
+            flatten(&parts)
+        };
+        let whole = split(&[]);
+        assert!(!whole.1.is_empty() && whole.1.iter().all(|&g| g >= 2));
+        let ids: Vec<u64> = (0..60u64)
+            .map(|i| if i == 59 { u64::MAX } else { i * 3 })
+            .collect();
+        assert_eq!(split(&ids), whole, "a boundary on every id");
+        for &b in &ids {
+            assert_eq!(split(&[b]), whole, "boundary at {b}");
+            assert_eq!(split(&[b.saturating_add(1)]), whole, "boundary after {b}");
+        }
+        for shards in 1..=12 {
+            assert_eq!(
+                split(&shard_bounds(&feats, shards)),
+                whole,
+                "{shards} shards"
+            );
+        }
+    }
+
     #[test]
     fn gram_append_equals_cold_recompute_and_counts_r_plus_1_dots() {
         let graphs = race_graphs(8, 100.0);
@@ -443,7 +740,6 @@ mod tests {
                     m = gram_append(&m, &feats[..=r], threads, dot, Some(&reg));
                     let report = reg.report();
                     assert_eq!(report.counter("kernel/dot_products"), Some(r as u64 + 1));
-                    assert_eq!(report.counter("kernel/pipeline_tasks"), Some(r as u64 + 1));
                     let cold = gram_from_features_with_dot(&k.name(), &feats[..=r], 1, dot, None);
                     assert_eq!(m.len(), r + 1);
                     for i in 0..=r {
