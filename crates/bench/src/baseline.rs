@@ -143,20 +143,13 @@ pub struct GramScaleRow {
 
 /// The gram-at-scale tier: WL features of a real amg2013 campaign held
 /// fixed (cycled and salted up to the largest run count) while the
-/// Gram paths race on identical inputs, plus the WL
-/// relabelling lane-width A/B.
+/// Gram paths race on identical inputs.
 #[derive(Debug, Clone, Serialize)]
 pub struct GramScaleReport {
     /// Pattern the source features came from.
     pub pattern: String,
     /// Distinct real feature vectors the synthetic runs cycle over.
     pub source_runs: usize,
-    /// Median wall-time of WL feature extraction over the source graphs
-    /// with 4 interleaved FNV lanes.
-    pub wl_lanes4_ms: f64,
-    /// The same extraction with 8 interleaved lanes (the shipped width;
-    /// labels are bit-identical at any width).
-    pub wl_lanes8_ms: f64,
     /// One row per measured run count.
     pub rows: Vec<GramScaleRow>,
 }
@@ -225,8 +218,8 @@ impl BaselineReport {
         }
         if let Some(g) = &self.gram_scale {
             out.push_str(&format!(
-                "gram_scale ({}, {} source vector(s)): wl_lanes4={:.3} ms, wl_lanes8={:.3} ms\n",
-                g.pattern, g.source_runs, g.wl_lanes4_ms, g.wl_lanes8_ms
+                "gram_scale ({}, {} source vector(s))\n",
+                g.pattern, g.source_runs
             ));
             for r in &g.rows {
                 out.push_str(&format!(
@@ -262,6 +255,14 @@ fn median(mut xs: Vec<f64>) -> f64 {
     }
 }
 
+/// A context that records into `reg`.
+fn metered(reg: &MetricsRegistry) -> RunCtx<'_> {
+    RunCtx {
+        metrics: Some(reg),
+        ..RunCtx::default()
+    }
+}
+
 /// Median wall-time of `reps` invocations of `f`, in milliseconds.
 fn time_median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut ts = Vec::with_capacity(reps);
@@ -286,16 +287,6 @@ pub fn run_gram_scale(cfg: &BaselineConfig) -> GramScaleReport {
         .base_seed(cfg.base_seed);
     let result = run_campaign(&ccfg).expect("gram-scale source campaign");
     let kernel = WlKernel::default();
-    let wl_lanes4_ms = time_median_ms(3, || {
-        for g in &result.graphs {
-            std::hint::black_box(kernel.features_with_lanes(g, 4));
-        }
-    });
-    let wl_lanes8_ms = time_median_ms(3, || {
-        for g in &result.graphs {
-            std::hint::black_box(kernel.features_with_lanes(g, 8));
-        }
-    });
     let source: Vec<SparseFeatures> = result.graphs.iter().map(|g| kernel.features(g)).collect();
     let max_runs = cfg.gram_scale_runs.iter().copied().max().unwrap_or(0);
     let feats: Vec<SparseFeatures> = (0..max_runs)
@@ -361,8 +352,6 @@ pub fn run_gram_scale(cfg: &BaselineConfig) -> GramScaleReport {
     GramScaleReport {
         pattern: Pattern::Amg2013.to_string(),
         source_runs: source.len(),
-        wl_lanes4_ms,
-        wl_lanes8_ms,
         rows,
     }
 }
@@ -378,7 +367,7 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
         // Metrics pass: end-to-end totals and the per-stage split.
         let reg = MetricsRegistry::new();
         for _ in 0..cfg.samples {
-            run_campaign_with_metrics(&ccfg, Some(&reg)).expect("baseline campaign");
+            campaign(&ccfg, &metered(&reg)).expect("baseline campaign");
         }
         let report = reg.report();
         // Overhead pass: untraced vs traced end-to-end medians over at
@@ -387,14 +376,13 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
         let ov_samples = cfg.samples.max(MIN_OVERHEAD_SAMPLES);
         let campaign_total_ms = |observed: bool| -> f64 {
             let r = MetricsRegistry::new();
+            let tracer = Tracer::new();
+            let mut ctx = metered(&r);
             if observed {
-                let tracer = Tracer::new();
                 r.attach_tracer(&tracer);
-                run_campaign_observed(&ccfg, Some(&r), Some(&tracer), 0)
-                    .expect("traced baseline campaign");
-            } else {
-                run_campaign_with_metrics(&ccfg, Some(&r)).expect("untraced baseline campaign");
+                ctx.tracer = Some(&tracer);
             }
+            campaign(&ccfg, &ctx).expect("baseline campaign");
             r.report()
                 .span("campaign")
                 .map(|s| s.total_ns as f64 / 1e6)
@@ -534,7 +522,6 @@ mod tests {
         let g = r.gram_scale.as_ref().expect("gram_scale section");
         assert_eq!(g.pattern, "amg2013");
         assert_eq!(g.source_runs, 10);
-        assert!(g.wl_lanes4_ms >= 0.0 && g.wl_lanes8_ms >= 0.0);
         assert_eq!(g.rows.len(), 2);
         for (row, want) in g.rows.iter().zip([8usize, 16]) {
             assert_eq!(row.runs, want);
@@ -560,7 +547,6 @@ mod tests {
         assert!(json.contains("\"store_warm_ms\""));
         assert!(json.contains("\"store_speedup\""));
         assert!(json.contains("\"gram_scale\""));
-        assert!(json.contains("\"wl_lanes4_ms\""));
         assert!(json.contains("\"append_speedup\""));
         assert!(json.contains("\"landmark_error_bound\""));
     }

@@ -5,7 +5,7 @@
 //! a different question: does one campaign at 1024 ranks and tens of
 //! millions of events complete end-to-end, in what time per stage, and
 //! within what peak memory? It therefore runs the *streaming* campaign
-//! path (`run_campaign_streaming`) — the only path meant for this scale —
+//! path (`campaign_streaming`) — the only path meant for this scale —
 //! plus one materialised run for the per-stage simulate/graph/features
 //! split, and reads the process peak RSS from `/proc/self/status`
 //! (`VmHWM`) on platforms that have it.
@@ -189,8 +189,11 @@ pub fn run_large_baseline(cfg: &LargeScaleConfig) -> LargeBaselineReport {
         reset_peak_rss();
         let reg = MetricsRegistry::new();
         let t = Instant::now();
-        let result = run_campaign_streaming_observed(&ccfg, Some(&reg), None, 0)
-            .expect("large baseline campaign");
+        let ctx = RunCtx {
+            metrics: Some(&reg),
+            ..RunCtx::default()
+        };
+        let result = campaign_streaming(&ccfg, &ctx).expect("large baseline campaign");
         let campaign_ms = t.elapsed().as_secs_f64() * 1e3;
         let peak = peak_rss_mib();
         let report = reg.report();
@@ -213,8 +216,12 @@ pub fn run_large_baseline(cfg: &LargeScaleConfig) -> LargeBaselineReport {
             let reg2 = MetricsRegistry::new();
             reg2.attach_tracer(&tracer);
             let t = Instant::now();
-            run_campaign_streaming_observed(&ccfg, Some(&reg2), Some(&tracer), 0)
-                .expect("large baseline traced campaign");
+            let ctx = RunCtx {
+                metrics: Some(&reg2),
+                tracer: Some(&tracer),
+                ..RunCtx::default()
+            };
+            campaign_streaming(&ccfg, &ctx).expect("large baseline traced campaign");
             tracer.finish_sink().expect("drain traced campaign");
             let traced_ms = t.elapsed().as_secs_f64() * 1e3;
             // The large tier measures each pass once; a ratio of two

@@ -172,15 +172,10 @@ fn extract(content: &str) -> Result<(String, Vec<MetricRow>), String> {
         }
     }
     // Newer baseline reports carry a `gram_scale` section: the dot
-    // schedules raced on a fixed feature set at growing run counts,
-    // plus the WL lane-width A/B. Older reports lack the key and their
-    // series simply start when it appears.
+    // schedules raced on a fixed feature set at growing run counts.
+    // Older reports lack the key and their series simply start when it
+    // appears.
     if let Some(g) = map_get(obj, "gram_scale").as_object() {
-        for metric in ["wl_lanes4_ms", "wl_lanes8_ms"] {
-            if let Some(value) = map_get(g, metric).as_f64() {
-                rows.push(("gram_scale".to_string(), metric.to_string(), value));
-            }
-        }
         if let Some(scale_rows) = map_get(g, "rows").as_array() {
             for row in scale_rows {
                 let Some(row) = row.as_object() else { continue };
@@ -395,7 +390,6 @@ mod tests {
                   "total_ms":5.0,"trace_overhead_pct":null,
                   "events":3780,"dot_products":165}}],
                 "gram_scale":{{"pattern":"amg2013","source_runs":10,
-                  "wl_lanes4_ms":1.2,"wl_lanes8_ms":1.0,
                   "rows":[{{"runs":256,"exact_ms":{exact_ms},"blocked_ms":20.0,
                     "append_ms":0.4,"landmark_ms":4.0,"landmark_k":16,
                     "landmark_error_bound":3.5,"blocked_speedup":2.0,
@@ -521,12 +515,6 @@ mod tests {
             .expect("gram_scale exact_ms series");
         assert_eq!(exact.points.len(), 3);
         assert!(exact.flagged, "a doubled exact_ms must trip the gate");
-        let lanes = r
-            .series
-            .iter()
-            .find(|s| s.pattern == "gram_scale" && s.metric == "wl_lanes8_ms")
-            .expect("lane A/B series");
-        assert!(!lanes.flagged);
         // Reports predating the section mix in cleanly: the series just
         // starts at the first report that carries it.
         let fs = files(&[

@@ -19,7 +19,7 @@ const PEAK_RSS_CEILING_MIB: f64 = 6144.0;
 fn campaign_at_1024_ranks_streams_within_memory_budget() {
     let cfg = CampaignConfig::new(Pattern::Amg2013, 1024).runs(3);
     let watermark_reset = reset_peak_rss();
-    let r = run_campaign_streaming(&cfg).expect("1024-rank campaign must complete");
+    let r = campaign_streaming(&cfg, &RunCtx::default()).expect("1024-rank campaign must complete");
     // Scale bar: two all-to-all phases per run at 1024 ranks is ~4.2M
     // events per run, ~12.6M per campaign.
     assert!(

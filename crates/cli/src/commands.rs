@@ -372,13 +372,13 @@ fn cmd_run_streaming(args: &Args) -> Result<(), String> {
         )
     });
     let token = anacin_obs::install_signal_handlers();
-    let result = run_campaign_streaming_cancellable(
-        &cfg,
-        reg.as_ref(),
-        tracer.as_ref().map(|(_, t)| t),
-        0,
-        Some(&token),
-    );
+    let ctx = RunCtx {
+        metrics: reg.as_ref(),
+        tracer: tracer.as_ref().map(|(_, t)| t),
+        cancel: Some(&token),
+        ..RunCtx::default()
+    };
+    let result = campaign_streaming(&cfg, &ctx);
     if let Some(r) = reporter {
         r.finish();
     }
@@ -463,31 +463,18 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         )
     });
     let token = anacin_obs::install_signal_handlers();
-    let result = match &store {
-        Some((_, store)) if append => until_cancelled(run_campaign_append_cancellable(
-            &cfg,
-            store,
-            reg.as_ref(),
-            tracer.as_ref().map(|(_, t)| t),
-            0,
-            Some(&token),
-        )),
-        Some((_, store)) => until_cancelled(run_campaign_incremental_cancellable(
-            &cfg,
-            store,
-            reg.as_ref(),
-            tracer.as_ref().map(|(_, t)| t),
-            0,
-            Some(&token),
-        )),
-        None => until_cancelled(run_campaign_cancellable(
-            &cfg,
-            reg.as_ref(),
-            tracer.as_ref().map(|(_, t)| t),
-            0,
-            Some(&token),
-        )),
+    let ctx = RunCtx {
+        metrics: reg.as_ref(),
+        tracer: tracer.as_ref().map(|(_, t)| t),
+        cancel: Some(&token),
+        store: match &store {
+            Some((_, store)) if append => StorePolicy::Append(store),
+            Some((_, store)) => StorePolicy::Reuse(store),
+            None => StorePolicy::None,
+        },
+        run_base: 0,
     };
+    let result = until_cancelled(campaign(&cfg, &ctx));
     if let Some(r) = reporter {
         r.finish();
     }
@@ -518,15 +505,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     // relate the sample to it (worst case, coverage, containment).
     let explored = if args.flag("explore") {
         let xcfg = explore_config_of(args)?;
-        let xr = match &store {
-            Some((_, store)) => {
-                explore_campaign_incremental_observed(&cfg, &xcfg, store, reg.as_ref())
-                    .map_err(|e| e.to_string())?
-            }
-            None => {
-                explore_campaign_observed(&cfg, &xcfg, reg.as_ref()).map_err(|e| e.to_string())?
-            }
+        // The enumeration runs to completion once the sample exists.
+        let ctx = RunCtx {
+            cancel: None,
+            ..ctx
         };
+        let xr = explore_campaign(&cfg, &xcfg, &ctx).map_err(|e| e.to_string())?;
         let coverage = xr.coverage_of(&result);
         Some((xcfg, xr, coverage))
     } else {
@@ -751,113 +735,60 @@ fn cmd_distance(args: &Args) -> Result<(), String> {
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
     let base = campaign_of(args)?;
+    let axis = SweepAxis::named(&args.get_or("kind", "nd"), &base)?;
     let metrics_path = args.get("metrics").map(str::to_string);
     let tracer = tracer_of(args)?;
-    let tr = tracer.as_ref().map(|(_, t)| t);
-    let kind = args.get_or("kind", "nd");
+    // Per-point metrics need a registry; so do the wall-clock spans of a
+    // trace, even when no metrics file was requested.
+    let reg = (metrics_path.is_some() || tracer.is_some()).then(MetricsRegistry::new);
+    if let (Some(reg), Some((_, t))) = (&reg, &tracer) {
+        reg.attach_tracer(t);
+    }
+    let store = match args.get("store") {
+        Some(dir) => {
+            let store = ArtifactStore::open(dir).map_err(|e| e.to_string())?;
+            if let Some(reg) = &reg {
+                store.attach_metrics(reg);
+            }
+            Some((dir, store))
+        }
+        None => None,
+    };
     let token = anacin_obs::install_signal_handlers();
-    if let Some(dir) = args.get("store") {
-        // Store-backed sweeps use one registry for the whole sweep (the
-        // per-point instrumented path is not combined with --store).
-        if tracer.is_some() {
-            return Err("--store and --trace cannot be combined on sweep".to_string());
-        }
-        let store = ArtifactStore::open(dir).map_err(|e| e.to_string())?;
-        let reg = metrics_path.as_ref().map(|_| MetricsRegistry::new());
-        if let Some(r) = &reg {
-            store.attach_metrics(r);
-        }
-        let cancel = Some(&token);
-        let sweep = until_cancelled(match kind.as_str() {
-            "nd" => {
-                let percents: Vec<f64> = (0..=10).map(|i| i as f64 * 10.0).collect();
-                sweep_nd_percent_stored_cancellable(&base, &percents, &store, reg.as_ref(), cancel)
-            }
-            "procs" => {
-                let p = base.app.procs;
-                sweep_procs_stored_cancellable(
-                    &base,
-                    &[(p / 2).max(2), p, p * 2],
-                    &store,
-                    reg.as_ref(),
-                    cancel,
-                )
-            }
-            "iterations" => {
-                sweep_iterations_stored_cancellable(&base, &[1, 2, 4], &store, reg.as_ref(), cancel)
-            }
-            other => return Err(format!("unknown sweep kind '{other}'")),
-        })?;
-        if let (Some(path), Some(r)) = (&metrics_path, &reg) {
-            write_metrics(path, r)?;
-        }
+    let ctx = RunCtx {
+        metrics: reg.as_ref(),
+        tracer: tracer.as_ref().map(|(_, t)| t),
+        cancel: Some(&token),
+        store: store
+            .as_ref()
+            .map_or(StorePolicy::None, |(_, s)| StorePolicy::Reuse(s)),
+        run_base: 0,
+    };
+    let swept = until_cancelled(sweep(&base, &axis, &ctx))?;
+    if let Some((dir, store)) = &store {
         let a = store.activity();
         eprintln!(
             "store {dir}: {} hit(s), {} miss(es), {} publish(es)",
             a.hits, a.misses, a.puts
         );
-        // A cancelled stored sweep has already published every finished
-        // run, so the next invocation resumes warm; report and exit 2.
-        let sweep = sweep.ok_or_else(interrupted_err)?;
-        print!("{}", sweep_text(&sweep));
-        return Ok(());
     }
-    let cancel = Some(&token);
-    let instrumented = metrics_path.is_some() || tracer.is_some();
-    let sweep = if instrumented {
-        // Instrumented path: per-point registries so stage time can be
-        // plotted against the swept parameter, plus optional tracing.
-        let both = until_cancelled(match kind.as_str() {
-            "nd" => {
-                let percents: Vec<f64> = (0..=10).map(|i| i as f64 * 10.0).collect();
-                sweep_nd_percent_instrumented_cancellable(&base, &percents, tr, cancel)
-            }
-            "procs" => {
-                let p = base.app.procs;
-                sweep_procs_instrumented_cancellable(&base, &[(p / 2).max(2), p, p * 2], tr, cancel)
-            }
-            "iterations" => {
-                sweep_iterations_instrumented_cancellable(&base, &[1, 2, 4], tr, cancel)
-            }
-            other => return Err(format!("unknown sweep kind '{other}'")),
-        })?;
-        let Some((sweep, sm)) = both else {
-            // Flush the trace sink before exiting non-zero: the partial
-            // per-run timeline is exactly what a user hunting a hang wants.
-            if let Some((path, t)) = &tracer {
-                write_trace(path, t)?;
-            }
-            return Err(interrupted_err());
-        };
-        if let Some(path) = &metrics_path {
-            let json = serde_json::to_string_pretty(&sm).map_err(|e| e.to_string())?;
-            std::fs::write(path, json).map_err(|e| e.to_string())?;
-            eprint!("{}", sm.aggregate.render_table());
-            eprintln!(
-                "metrics report written to {path} ({} sweep points)",
-                sm.points.len()
-            );
-        }
-        sweep
-    } else {
-        until_cancelled(match kind.as_str() {
-            "nd" => {
-                let percents: Vec<f64> = (0..=10).map(|i| i as f64 * 10.0).collect();
-                sweep_nd_percent_cancellable(&base, &percents, None, cancel)
-            }
-            "procs" => {
-                let p = base.app.procs;
-                sweep_procs_cancellable(&base, &[(p / 2).max(2), p, p * 2], None, cancel)
-            }
-            "iterations" => sweep_iterations_cancellable(&base, &[1, 2, 4], None, cancel),
-            other => return Err(format!("unknown sweep kind '{other}'")),
-        })?
-        .ok_or_else(interrupted_err)?
-    };
+    // Flush the trace even when interrupted: the partial per-run timeline
+    // is exactly what a user hunting a hang wants. A cancelled stored
+    // sweep has already published every finished run, so it resumes warm.
     if let Some((path, t)) = &tracer {
         write_trace(path, t)?;
     }
-    print!("{}", sweep_text(&sweep));
+    let swept = swept.ok_or_else(interrupted_err)?;
+    if let (Some(path), Some(sm)) = (&metrics_path, &swept.metrics) {
+        let json = serde_json::to_string_pretty(sm).map_err(|e| e.to_string())?;
+        std::fs::write(path, json).map_err(|e| e.to_string())?;
+        eprint!("{}", sm.aggregate.render_table());
+        eprintln!(
+            "metrics report written to {path} ({} sweep points)",
+            sm.points.len()
+        );
+    }
+    print!("{}", sweep_text(&swept));
     Ok(())
 }
 

@@ -489,36 +489,51 @@ fn run_with_store_warms_and_store_subcommands_operate() {
 }
 
 #[test]
-fn sweep_with_store_runs_and_rejects_trace_combination() {
+fn sweep_with_store_and_trace_offsets_run_ids_per_point() {
     let dir = std::env::temp_dir().join("anacin_cli_store_sweep_test");
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
     let store = dir.join("store");
-    let store = store.to_str().unwrap();
-    run(&[
-        "sweep",
-        "--kind",
-        "iterations",
-        "--pattern",
-        "race",
-        "--procs",
-        "4",
-        "--runs",
-        "3",
-        "--store",
-        store,
-    ])
-    .unwrap();
-    assert!(run(&[
-        "sweep",
-        "--kind",
-        "iterations",
-        "--store",
-        store,
-        "--trace",
-        "/tmp/t.json",
-    ])
-    .unwrap_err()
-    .contains("cannot be combined"));
+    let trace = dir.join("sweep-trace.json");
+    let sweep = |trace: Option<&str>| {
+        let mut argv = vec![
+            "sweep",
+            "--kind",
+            "iterations",
+            "--pattern",
+            "race",
+            "--procs",
+            "4",
+            "--runs",
+            "3",
+            "--store",
+            store.to_str().unwrap(),
+        ];
+        if let Some(path) = trace {
+            argv.extend(["--trace", path]);
+        }
+        run(&argv)
+    };
+    sweep(None).unwrap(); // cold: publishes every point's runs
+    sweep(Some(trace.to_str().unwrap())).unwrap(); // warm, and traced
+    let json = std::fs::read_to_string(&trace).unwrap();
+    let doc = serde_json::from_str_value(&json).unwrap();
+    let events = serde::map_get(doc.as_object().unwrap(), "traceEvents")
+        .as_array()
+        .unwrap();
+    let mut runs = std::collections::BTreeSet::new();
+    for e in events {
+        let e = e.as_object().unwrap();
+        if serde::map_get(e, "cat").as_str() == Some("sim") {
+            runs.insert(serde::map_get(e, "pid").as_f64().unwrap() as u64 - 1000);
+        }
+    }
+    // Three points (1, 2, 4 iterations) of three runs each: every run of
+    // every point appears once, its id offset by the runs before it.
+    assert_eq!(
+        runs.into_iter().collect::<Vec<_>>(),
+        (0..9).collect::<Vec<_>>()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

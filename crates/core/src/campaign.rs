@@ -4,23 +4,35 @@
 //! This is the paper's experimental loop ("run the same application many
 //! times to collect a sample of non-deterministic executions", §III-B),
 //! compressed from cluster-hours to milliseconds by the simulator.
+//!
+//! Every runner takes one [`RunCtx`]: metrics, tracer, cancellation, the
+//! artifact-store policy and the run-id offset travel together instead of
+//! multiplying into function-name variants. `RunCtx::default()` is a plain
+//! run. All runners simulate through one private run pool, which records
+//! each run's trace into the tracer in run-index order, so ring contents
+//! and streamed sinks do not depend on thread timing.
 
 use crate::config::{CampaignConfig, GramApprox};
+use crate::incremental::{
+    campaign_fingerprint, features_fingerprint, get_or_heal, run_fingerprint, IncrementalError,
+};
 use anacin_event_graph::EventGraph;
 use anacin_kernels::approx::landmark_gram;
 use anacin_kernels::feature::SparseFeatures;
 use anacin_kernels::kernel::GraphKernel;
 use anacin_kernels::matrix::{
-    gram_from_features_with_metrics, parallel_features_with_metrics, KernelMatrix,
+    gram_append, gram_from_features_with_metrics, parallel_features_at, KernelMatrix,
 };
-use anacin_mpisim::engine::{simulate_traced_counted, SimError};
+use anacin_mpisim::engine::{simulate_counted, SimError};
 use anacin_mpisim::program::Program;
 use anacin_mpisim::stack::CallStackTable;
 use anacin_mpisim::trace::Trace;
 use anacin_mpisim::SimCounters;
 use anacin_obs::{CancelToken, MetricsRegistry, Tracer};
+use anacin_store::{ArtifactStore, DistanceSample, StoreError};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 
 /// A campaign run failed. Identifies *which* seeded run died so the failure
 /// can be replayed directly (`seed` is the exact simulator seed), rather
@@ -152,79 +164,140 @@ impl CampaignResult {
     }
 }
 
-/// Simulate the campaign's runs in parallel.
-pub fn run_traces(program: &Program, config: &CampaignConfig) -> Result<Vec<Trace>, CampaignError> {
-    run_traces_with_metrics(program, config, None)
+/// What a campaign does with the artifact store.
+#[derive(Clone, Copy, Default)]
+pub enum StorePolicy<'a> {
+    /// No store: compute every artifact.
+    #[default]
+    None,
+    /// Reuse every stored artifact; compute and publish the rest (see
+    /// [`crate::incremental`] for keys and the warm-path guarantee).
+    Reuse(&'a ArtifactStore),
+    /// [`StorePolicy::Reuse`], but grow the largest stored prefix Gram
+    /// matrix row by row instead of recomputing it: `R + 1` dot products
+    /// per added run, byte-identical to a cold recompute. With no stored
+    /// prefix (or an approximate config) this is exactly `Reuse`.
+    Append(&'a ArtifactStore),
 }
 
-/// [`run_traces`], additionally flushing per-run simulator counters into
-/// `metrics` when a registry is supplied. Traces are identical either way.
-pub fn run_traces_with_metrics(
-    program: &Program,
-    config: &CampaignConfig,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Vec<Trace>, CampaignError> {
-    run_traces_observed(program, config, metrics, None, 0)
+impl<'a> StorePolicy<'a> {
+    /// The store in use, if any.
+    pub(crate) fn store(self) -> Option<&'a ArtifactStore> {
+        match self {
+            StorePolicy::None => None,
+            StorePolicy::Reuse(s) | StorePolicy::Append(s) => Some(s),
+        }
+    }
 }
 
-/// [`run_traces_with_metrics`], plus timeline tracing: with a [`Tracer`],
-/// every run's finished trace is emitted as simulated-time records tagged
-/// with run index `run_base + i` (the offset keeps run ids unique when one
-/// tracer spans several campaigns, e.g. across sweep points). Tracing
-/// happens after each simulation completes, so traces are bit-identical
-/// to an unobserved run.
-pub fn run_traces_observed(
-    program: &Program,
-    config: &CampaignConfig,
-    metrics: Option<&MetricsRegistry>,
-    tracer: Option<&Tracer>,
-    run_base: u32,
-) -> Result<Vec<Trace>, CampaignError> {
-    run_traces_cancellable(program, config, metrics, tracer, run_base, None)
-        .map_err(Interrupted::into_failure)
+/// The cross-cutting concerns of one pipeline run. Every field is
+/// optional; `RunCtx::default()` is a plain, unobserved run. None of them
+/// changes a measurement: observability never touches simulated time or
+/// the injection RNG, and the store returns the bytes a cold run computes.
+#[derive(Clone, Copy, Default)]
+pub struct RunCtx<'a> {
+    /// Per-stage spans (`campaign/simulate`, `campaign/kernel/gram`, …)
+    /// and simulator/graph/kernel counters. Wall-clock spans reach a
+    /// tracer only when it is attached to this registry via
+    /// [`MetricsRegistry::attach_tracer`]; runners never attach it
+    /// implicitly, so callers control which registries emit.
+    pub metrics: Option<&'a MetricsRegistry>,
+    /// Receives every run's simulated-time events, tagged with run id
+    /// `run_base + i` and the run's seed, in run-index order.
+    pub tracer: Option<&'a Tracer>,
+    /// Cooperative cancellation: once the token fires, workers stop
+    /// claiming runs (the run each one is simulating completes — a
+    /// half-simulated trace is never observable), stage boundaries check
+    /// it, and the runner returns [`Interrupted::Cancelled`]. A result is
+    /// either complete or not produced at all.
+    pub cancel: Option<&'a CancelToken>,
+    /// What to do with the artifact store.
+    pub store: StorePolicy<'a>,
+    /// Offset of the run ids recorded into `tracer`, which keeps them
+    /// unique when one tracer spans several campaigns (sweep points).
+    pub run_base: u32,
 }
 
-/// [`run_traces_observed`] with cooperative cancellation: once `cancel`
-/// fires, workers stop claiming new runs (the run each one is simulating
-/// completes — a half-simulated trace is never observable), and the call
-/// returns [`Interrupted::Cancelled`] with the number of finished runs.
-pub fn run_traces_cancellable(
-    program: &Program,
-    config: &CampaignConfig,
-    metrics: Option<&MetricsRegistry>,
-    tracer: Option<&Tracer>,
-    run_base: u32,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<Trace>, Interrupted<CampaignError>> {
-    let runs = config.runs as usize;
-    let threads = config.threads.max(1).min(runs.max(1));
+/// Lets the workers of one pool through a critical section one at a
+/// time, strictly in claim order.
+#[derive(Default)]
+struct Turnstile {
+    next: Mutex<usize>,
+    turn: Condvar,
+}
+
+impl Turnstile {
+    /// Wait until every claim before `k` has passed, run `f`, and let
+    /// claim `k + 1` through. Claims are handed out in order and every
+    /// claimed run reaches its turn, so the wait always ends.
+    fn pass(&self, k: usize, f: impl FnOnce()) {
+        let mut next = self.next.lock().expect("turnstile poisoned");
+        while *next != k {
+            next = self.turn.wait(next).expect("turnstile poisoned");
+        }
+        f();
+        *next += 1;
+        self.turn.notify_all();
+    }
+}
+
+/// The run pool every runner shares. `threads` workers claim `runs` in
+/// order, `simulate` each one (with one set of pre-resolved simulator
+/// counters per worker when `ctx.metrics` is set: the registry map locks
+/// once per worker, not once per run), and turn its trace into a `T` with
+/// `finish`.
+///
+/// With `ctx.tracer`, each trace is recorded into the tracer (as run
+/// `ctx.run_base + run`) before `finish`, strictly in claim order: a
+/// worker waits for the previous claim to be recorded, so recording
+/// order never depends on thread timing and at most `threads` finished
+/// traces wait at once.
+///
+/// Once `ctx.cancel` fires, workers stop claiming and every claimed run
+/// completes, so the result holds the first `k` runs; it is shorter than
+/// `runs` exactly when the pool was cancelled. A failure reports the
+/// lowest failing run, however the runs were interleaved.
+pub(crate) fn run_pool<T: Send>(
+    runs: &[u32],
+    threads: usize,
+    ctx: &RunCtx,
+    simulate: impl Fn(u32, Option<&SimCounters>) -> Result<Trace, SimError> + Sync,
+    finish: impl Fn(Trace) -> T + Sync,
+) -> Result<Vec<(u32, T)>, (u32, SimError)> {
+    if runs.is_empty() {
+        // Nothing to simulate: spawn no workers (and create no `sim/*`
+        // counters — a fully warm campaign performs no simulation work).
+        return Ok(Vec::new());
+    }
+    let RunCtx {
+        metrics,
+        tracer,
+        cancel,
+        run_base,
+        ..
+    } = *ctx;
+    let threads = threads.clamp(1, runs.len());
     let next = AtomicUsize::new(0);
-    let results: Vec<Vec<(usize, Result<Trace, SimError>)>> = std::thread::scope(|s| {
+    let turnstile = Turnstile::default();
+    let (simulate, finish, next, turnstile) = (&simulate, &finish, &next, &turnstile);
+    let results: Vec<Vec<(usize, Result<T, SimError>)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let next = &next;
                 s.spawn(move || {
-                    // One set of pre-resolved counter handles per worker:
-                    // the registry map locks once here, and every run's
-                    // counter flush is then a handful of lock-free atomic
-                    // adds — large campaigns and resumes no longer
-                    // serialise on the registry mutex.
                     let counters = metrics.map(SimCounters::new);
                     let mut local = Vec::new();
-                    loop {
-                        if cancel.is_some_and(|c| c.is_cancelled()) {
-                            break;
+                    while !cancel.is_some_and(CancelToken::is_cancelled) {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&run) = runs.get(k) else { break };
+                        let outcome = simulate(run, counters.as_ref());
+                        if let Some(t) = tracer {
+                            turnstile.pass(k, || {
+                                if let Ok(trace) = &outcome {
+                                    trace.record_into(t, run_base + run);
+                                }
+                            });
                         }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= runs {
-                            break;
-                        }
-                        let sc = config.sim_config(i as u32);
-                        let t = tracer.map(|t| (t, run_base + i as u32));
-                        local.push((
-                            i,
-                            simulate_traced_counted(program, &sc, metrics, t, counters.as_ref()),
-                        ));
+                        local.push((k, outcome.map(finish)));
                     }
                     local
                 })
@@ -235,59 +308,155 @@ pub fn run_traces_cancellable(
             .map(|h| h.join().expect("worker panicked"))
             .collect()
     });
-    let mut out: Vec<Option<Trace>> = (0..runs).map(|_| None).collect();
-    // Keep the *lowest* failing run index so the reported failure is
-    // deterministic no matter how runs were interleaved across workers.
-    let mut failure: Option<CampaignError> = None;
-    for chunk in results {
-        for (i, r) in chunk {
-            match r {
-                Ok(t) => out[i] = Some(t),
-                Err(source) => {
-                    let run = i as u32;
-                    if failure.as_ref().is_none_or(|f| run < f.run) {
-                        failure = Some(CampaignError {
-                            run,
-                            seed: config.sim_config(run).seed,
-                            source,
-                        });
-                    }
+    let mut done = Vec::with_capacity(runs.len());
+    let mut failure: Option<(usize, SimError)> = None;
+    for (k, outcome) in results.into_iter().flatten() {
+        match outcome {
+            Ok(v) => done.push((k, v)),
+            Err(e) => {
+                if failure.as_ref().is_none_or(|&(f, _)| k < f) {
+                    failure = Some((k, e));
                 }
             }
         }
     }
-    if let Some(f) = failure {
-        return Err(Interrupted::Failed(f));
+    if let Some((k, e)) = failure {
+        return Err((runs[k], e));
     }
-    // Runs are claimed in index order and every claimed run completes,
-    // so a cancelled campaign's finished slots are exactly [0, k).
-    let done: Vec<Trace> = out.into_iter().flatten().collect();
-    if done.len() < runs {
+    done.sort_unstable_by_key(|&(k, _)| k);
+    Ok(done.into_iter().map(|(k, v)| (runs[k], v)).collect())
+}
+
+/// The [`CampaignError`] of a failed pool run of a sampled campaign.
+fn run_failed(config: &CampaignConfig, (run, source): (u32, SimError)) -> CampaignError {
+    CampaignError {
+        run,
+        seed: config.sim_config(run).seed,
+        source,
+    }
+}
+
+/// Stage 1: every run's trace, loaded from `store` when it holds it,
+/// simulated (then published) otherwise, and recorded into the tracer in
+/// run-index order. Runs finished before a cancellation are still
+/// published and recorded, so a cancelled campaign resumes warm and
+/// leaves its partial timeline behind.
+fn traces_stage(
+    program: &Program,
+    config: &CampaignConfig,
+    store: Option<&ArtifactStore>,
+    ctx: &RunCtx,
+) -> Result<Vec<Trace>, Interrupted<IncrementalError>> {
+    let mut slots: Vec<Option<Trace>> = Vec::with_capacity(config.runs as usize);
+    let mut missing = Vec::new();
+    for run in 0..config.runs {
+        let stored = match store {
+            Some(s) => get_or_heal::<Trace>(s, run_fingerprint(config, run))?,
+            None => None,
+        };
+        if stored.is_none() {
+            missing.push(run);
+        }
+        slots.push(stored);
+    }
+    let simulated = run_pool(
+        &missing,
+        config.threads,
+        &RunCtx {
+            tracer: None,
+            ..*ctx
+        },
+        |run, counters| simulate_counted(program, &config.sim_config(run), ctx.metrics, counters),
+        |trace| trace,
+    )
+    .map_err(|f| run_failed(config, f))?;
+    let cancelled = simulated.len() < missing.len();
+    for (run, trace) in simulated {
+        if let Some(s) = store {
+            s.put(run_fingerprint(config, run), &trace)?;
+        }
+        slots[run as usize] = Some(trace);
+    }
+    if let Some(t) = ctx.tracer {
+        for (i, trace) in slots.iter().enumerate() {
+            if let Some(trace) = trace {
+                trace.record_into(t, ctx.run_base + i as u32);
+            }
+        }
+    }
+    if cancelled {
         return Err(Interrupted::Cancelled {
-            completed_runs: done.len() as u32,
+            completed_runs: slots.iter().flatten().count() as u32,
         });
     }
-    Ok(done)
+    Ok(slots.into_iter().flatten().collect())
 }
 
-/// The kernel stage of the materialised campaign runner: extract every
-/// run's features in parallel, then [`gram_stage_from_features`].
-pub(crate) fn gram_stage(
+/// Stage 2: every run's event graph, warm from `store` or built (then
+/// published).
+fn graphs_stage(
+    config: &CampaignConfig,
+    traces: &[Trace],
+    store: Option<&ArtifactStore>,
+    metrics: Option<&MetricsRegistry>,
+) -> Result<Vec<EventGraph>, StoreError> {
+    let mut graphs = Vec::with_capacity(traces.len());
+    for (run, trace) in traces.iter().enumerate() {
+        let Some(s) = store else {
+            graphs.push(EventGraph::from_trace_with_metrics(trace, metrics));
+            continue;
+        };
+        let fp = run_fingerprint(config, run as u32);
+        let g = match get_or_heal::<EventGraph>(s, fp)? {
+            Some(g) => g,
+            None => {
+                let g = EventGraph::from_trace_with_metrics(trace, metrics);
+                s.put(fp, &g)?;
+                g
+            }
+        };
+        graphs.push(g);
+    }
+    Ok(graphs)
+}
+
+/// Stage 3a: every run's feature vector, warm from `store` or extracted
+/// in parallel (then published).
+fn features_stage(
+    config: &CampaignConfig,
     kernel: &dyn GraphKernel,
     graphs: &[EventGraph],
-    config: &CampaignConfig,
+    store: Option<&ArtifactStore>,
     metrics: Option<&MetricsRegistry>,
-) -> KernelMatrix {
-    let feats = parallel_features_with_metrics(kernel, graphs, config.threads, metrics);
-    gram_stage_from_features(&kernel.name(), &feats, config, metrics)
+) -> Result<Vec<SparseFeatures>, StoreError> {
+    let mut feats: Vec<Option<SparseFeatures>> = Vec::with_capacity(graphs.len());
+    let mut missing = Vec::new();
+    for run in 0..graphs.len() {
+        let stored = match store {
+            Some(s) => get_or_heal::<SparseFeatures>(s, features_fingerprint(config, run as u32))?,
+            None => None,
+        };
+        if stored.is_none() {
+            missing.push(run);
+        }
+        feats.push(stored);
+    }
+    if !missing.is_empty() {
+        let computed = parallel_features_at(kernel, graphs, &missing, config.threads, metrics);
+        for (&i, f) in missing.iter().zip(computed) {
+            if let Some(s) = store {
+                s.put(features_fingerprint(config, i as u32), &f)?;
+            }
+            feats[i] = Some(f);
+        }
+    }
+    Ok(feats.into_iter().flatten().collect())
 }
 
-/// The kernel stage over precomputed feature vectors: the exact k-way
-/// Gram (bit-identical across dot kinds and thread counts) or, only when
-/// `config.approx` opts in, the landmark approximation. The streaming
-/// runner calls it directly, since its graphs are dropped by the time the
-/// Gram matrix is assembled.
-pub(crate) fn gram_stage_from_features(
+/// The Gram matrix of precomputed feature vectors: the exact k-way Gram
+/// (bit-identical across dot kinds and thread counts) or, only when
+/// `config.approx` opts in, the landmark approximation.
+fn compute_gram(
     kernel_name: &str,
     feats: &[SparseFeatures],
     config: &CampaignConfig,
@@ -303,76 +472,117 @@ pub(crate) fn gram_stage_from_features(
     }
 }
 
-/// Run a full campaign: simulate, graph, and measure.
-pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignResult, CampaignError> {
-    run_campaign_with_metrics(config, None)
+/// Stage 3b: the Gram matrix. Under a store, an exact matrix is read
+/// back or computed and published together with its distance sample;
+/// with a stored `prefix` (append), the prefix is grown one row per added
+/// run with [`gram_append`], publishing every intermediate matrix.
+/// Approximate matrices are never published to (or read from) the store:
+/// campaign-level keys name exact artifacts only, so an approximate run
+/// can never poison a warm exact one.
+fn gram_stage(
+    config: &CampaignConfig,
+    kernel_name: &str,
+    feats: &[SparseFeatures],
+    store: Option<&ArtifactStore>,
+    prefix: Option<(u32, KernelMatrix)>,
+    metrics: Option<&MetricsRegistry>,
+) -> Result<KernelMatrix, StoreError> {
+    let Some(s) = store.filter(|_| config.approx == GramApprox::Exact) else {
+        return Ok(compute_gram(kernel_name, feats, config, metrics));
+    };
+    let publish = |runs: u32, m: &KernelMatrix| -> Result<(), StoreError> {
+        let fp = campaign_fingerprint(&config.clone().runs(runs));
+        s.put(fp, m)?;
+        s.put(fp, &DistanceSample(m.pairwise_distances()))
+    };
+    if let Some((stored_runs, mut m)) = prefix {
+        for grown in stored_runs + 1..=config.runs {
+            m = gram_append(
+                &m,
+                &feats[..grown as usize],
+                config.threads,
+                config.dot,
+                metrics,
+            );
+            publish(grown, &m)?;
+        }
+        return Ok(m);
+    }
+    if let Some(m) = get_or_heal::<KernelMatrix>(s, campaign_fingerprint(config))? {
+        return Ok(m);
+    }
+    let m = compute_gram(kernel_name, feats, config, metrics);
+    publish(config.runs, &m)?;
+    Ok(m)
 }
 
-/// [`run_campaign`], additionally recording a per-stage breakdown
-/// (`campaign/simulate`, `campaign/graph`, `campaign/kernel/*` spans plus
-/// simulator/graph/kernel counters) when a registry is supplied. The
-/// measurement itself is bit-identical either way: observability never
-/// touches simulated time or the injection RNG.
-pub fn run_campaign_with_metrics(
+/// The largest stored prefix matrix of an append: the campaign key is a
+/// pure function of the run set, so a shorter campaign with the same base
+/// seed is exactly a prefix of this one.
+fn stored_prefix(
     config: &CampaignConfig,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<CampaignResult, CampaignError> {
-    run_campaign_observed(config, metrics, None, 0)
+    store: &ArtifactStore,
+) -> Result<Option<(u32, KernelMatrix)>, StoreError> {
+    if config.approx != GramApprox::Exact {
+        return Ok(None);
+    }
+    for r in (1..=config.runs).rev() {
+        let sub = config.clone().runs(r);
+        if let Some(m) = get_or_heal::<KernelMatrix>(store, campaign_fingerprint(&sub))? {
+            return Ok(Some((r, m)));
+        }
+    }
+    Ok(None)
 }
 
-/// [`run_campaign_with_metrics`], plus timeline tracing: with a
-/// [`Tracer`], each run's simulated-time events are emitted tagged with
-/// `(run_base + i, seed)` — see [`run_traces_observed`]. Wall-clock
-/// pipeline spans reach the same tracer when it is also attached to
-/// `metrics` via [`MetricsRegistry::attach_tracer`]; this function does
-/// not attach it implicitly, so callers control which registries emit.
-pub fn run_campaign_observed(
+/// The end-of-campaign counters every runner records.
+fn finish_counters(
     config: &CampaignConfig,
+    matrix: &KernelMatrix,
     metrics: Option<&MetricsRegistry>,
-    tracer: Option<&Tracer>,
-    run_base: u32,
-) -> Result<CampaignResult, CampaignError> {
-    run_campaign_cancellable(config, metrics, tracer, run_base, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`run_campaign_observed`] with cooperative cancellation: the simulate
-/// stage stops claiming runs once `cancel` fires (see
-/// [`run_traces_cancellable`]), and the graph/kernel stages check the
-/// token at their boundaries. A result is either complete or not
-/// produced at all — cancellation never yields a partial matrix.
-pub fn run_campaign_cancellable(
-    config: &CampaignConfig,
-    metrics: Option<&MetricsRegistry>,
-    tracer: Option<&Tracer>,
-    run_base: u32,
-    cancel: Option<&CancelToken>,
-) -> Result<CampaignResult, Interrupted<CampaignError>> {
-    let _campaign_span = metrics.map(|m| m.span("campaign"));
-    let program = config.pattern.build(&config.app);
-    let traces = {
-        let _s = metrics.map(|m| m.span("simulate"));
-        run_traces_cancellable(&program, config, metrics, tracer, run_base, cancel)?
-    };
-    check_cancel(cancel, config.runs)?;
-    let graphs: Vec<EventGraph> = {
-        let _s = metrics.map(|m| m.span("graph"));
-        traces
-            .iter()
-            .map(|t| EventGraph::from_trace_with_metrics(t, metrics))
-            .collect()
-    };
-    check_cancel(cancel, config.runs)?;
-    let kernel = config.kernel.instantiate();
-    let matrix = {
-        let _s = metrics.map(|m| m.span("kernel"));
-        gram_stage(kernel.as_ref(), &graphs, config, metrics)
-    };
+) {
     if let Some(m) = metrics {
         m.counter("campaign/runs").add(config.runs as u64);
         let nan = anacin_stats::nan_count(&matrix.pairwise_distances());
         m.counter("stats/nan_distances").add(nan as u64);
     }
+}
+
+/// Run a full campaign — simulate, graph, measure — keeping every trace
+/// and graph, under any [`StorePolicy`]. With metrics it records the
+/// `campaign`, `campaign/simulate`, `campaign/graph`, `campaign/kernel`,
+/// `campaign/kernel/features` and `campaign/kernel/gram` spans plus
+/// simulator/graph/kernel counters; under a store, counters reflect work
+/// actually performed (warm runs bump `store/hits` instead of `sim/*`).
+pub fn campaign(
+    config: &CampaignConfig,
+    ctx: &RunCtx,
+) -> Result<CampaignResult, Interrupted<IncrementalError>> {
+    let metrics = ctx.metrics;
+    let store = ctx.store.store();
+    let prefix = match ctx.store {
+        StorePolicy::Append(s) => stored_prefix(config, s)?,
+        _ => None,
+    };
+    let _campaign_span = metrics.map(|m| m.span("campaign"));
+    let program = config.pattern.build(&config.app);
+    let traces = {
+        let _s = metrics.map(|m| m.span("simulate"));
+        traces_stage(&program, config, store, ctx)?
+    };
+    check_cancel(ctx.cancel, config.runs)?;
+    let graphs = {
+        let _s = metrics.map(|m| m.span("graph"));
+        graphs_stage(config, &traces, store, metrics)?
+    };
+    check_cancel(ctx.cancel, config.runs)?;
+    let kernel = config.kernel.instantiate();
+    let matrix = {
+        let _s = metrics.map(|m| m.span("kernel"));
+        let feats = features_stage(config, kernel.as_ref(), &graphs, store, metrics)?;
+        gram_stage(config, &kernel.name(), &feats, store, prefix, metrics)?
+    };
+    finish_counters(config, &matrix, metrics);
     Ok(CampaignResult {
         config: config.clone(),
         program,
@@ -382,7 +592,12 @@ pub fn run_campaign_cancellable(
     })
 }
 
-/// The measurement of a streaming campaign: everything [`run_campaign`]
+/// Run a plain campaign: [`campaign`] with `RunCtx::default()`.
+pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignResult, CampaignError> {
+    campaign(config, &RunCtx::default()).map_err(|e| e.into_failure().into_campaign())
+}
+
+/// The measurement of a streaming campaign: everything [`campaign`]
 /// produces *except* the per-run traces and graphs, which are dropped as
 /// soon as each run's feature vector exists. Peak memory is therefore one
 /// in-flight trace + graph per worker thread plus the (tiny) feature
@@ -415,148 +630,60 @@ impl StreamingCampaignResult {
 }
 
 /// Run a full campaign without materialising all traces and graphs:
-/// each run is simulated, graphed, and reduced to its feature vector in
-/// one pass, and the trace and graph are freed before the next run
-/// starts on that worker.
+/// each run is simulated, recorded into the tracer (in run-index order),
+/// graphed, and reduced to its feature vector in one pass, and its trace
+/// and graph are freed before that worker claims the next run.
 ///
-/// The matrix is bit-identical to [`run_campaign`]'s for the same
+/// The matrix is bit-identical to [`campaign`]'s for the same
 /// configuration: per-run simulation, graph construction, and feature
-/// extraction are the exact same deterministic code, and the Gram stage is
-/// the same [`gram_stage_from_features`], which does not depend on the
-/// thread count.
-pub fn run_campaign_streaming(
+/// extraction are the exact same deterministic code, and the Gram stage
+/// does not depend on the thread count. Per-run work is recorded under a
+/// fused `campaign/stream` span (simulate → graph → features interleave
+/// per run, so the materialised path's per-stage spans have no streaming
+/// equivalent); counters keep their usual names. A streamed campaign
+/// keeps no traces or graphs to publish, so `ctx.store` is not used.
+pub fn campaign_streaming(
     config: &CampaignConfig,
-) -> Result<StreamingCampaignResult, CampaignError> {
-    run_campaign_streaming_observed(config, None, None, 0)
-}
-
-/// [`run_campaign_streaming`] with optional metrics and timeline tracing,
-/// mirroring [`run_campaign_observed`]. Per-run pipeline work is recorded
-/// under a fused `campaign/stream` span (simulate → graph → features are
-/// interleaved per run, so the per-stage spans of the materialised path
-/// have no streaming equivalent); simulator, graph, and kernel counters
-/// keep their usual names.
-pub fn run_campaign_streaming_observed(
-    config: &CampaignConfig,
-    metrics: Option<&MetricsRegistry>,
-    tracer: Option<&Tracer>,
-    run_base: u32,
-) -> Result<StreamingCampaignResult, CampaignError> {
-    run_campaign_streaming_cancellable(config, metrics, tracer, run_base, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`run_campaign_streaming_observed`] with cooperative cancellation,
-/// mirroring [`run_campaign_cancellable`]: workers stop claiming runs
-/// once `cancel` fires, the in-flight run of each worker completes, and
-/// the Gram stage checks the token before starting.
-pub fn run_campaign_streaming_cancellable(
-    config: &CampaignConfig,
-    metrics: Option<&MetricsRegistry>,
-    tracer: Option<&Tracer>,
-    run_base: u32,
-    cancel: Option<&CancelToken>,
+    ctx: &RunCtx,
 ) -> Result<StreamingCampaignResult, Interrupted<CampaignError>> {
+    let metrics = ctx.metrics;
     let _campaign_span = metrics.map(|m| m.span("campaign"));
     let program = config.pattern.build(&config.app);
     let kernel = config.kernel.instantiate();
-    let runs = config.runs as usize;
-    let threads = config.threads.max(1).min(runs.max(1));
-    let next = AtomicUsize::new(0);
-    type RunOutcome = Result<(SparseFeatures, u64, u64), SimError>;
-    let results: Vec<Vec<(usize, RunOutcome)>> = {
+    let all: Vec<u32> = (0..config.runs).collect();
+    let done = {
         let _s = metrics.map(|m| m.span("stream"));
-        let program = &program;
-        let kernel = kernel.as_ref();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    s.spawn(move || {
-                        let counters = metrics.map(SimCounters::new);
-                        let mut local = Vec::new();
-                        loop {
-                            if cancel.is_some_and(|c| c.is_cancelled()) {
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= runs {
-                                break;
-                            }
-                            let sc = config.sim_config(i as u32);
-                            let t = tracer.map(|t| (t, run_base + i as u32));
-                            let outcome = simulate_traced_counted(
-                                program,
-                                &sc,
-                                metrics,
-                                t,
-                                counters.as_ref(),
-                            )
-                            .map(|trace| {
-                                let events = trace.total_events() as u64;
-                                let graph = EventGraph::from_trace_with_metrics(&trace, metrics);
-                                drop(trace);
-                                let nodes = graph.node_count() as u64;
-                                if let Some(m) = metrics {
-                                    m.counter("kernel/features").add(1);
-                                }
-                                (kernel.features(&graph), events, nodes)
-                            });
-                            local.push((i, outcome));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        })
+        run_pool(
+            &all,
+            config.threads,
+            ctx,
+            |run, counters| simulate_counted(&program, &config.sim_config(run), metrics, counters),
+            |trace| {
+                let events = trace.total_events() as u64;
+                let graph = EventGraph::from_trace_with_metrics(&trace, metrics);
+                drop(trace);
+                if let Some(m) = metrics {
+                    m.counter("kernel/features").add(1);
+                }
+                (kernel.features(&graph), events, graph.node_count() as u64)
+            },
+        )
+        .map_err(|f| run_failed(config, f))?
     };
-    let mut feats: Vec<Option<SparseFeatures>> = (0..runs).map(|_| None).collect();
-    let (mut total_events, mut total_nodes) = (0u64, 0u64);
-    let mut failure: Option<CampaignError> = None;
-    for chunk in results {
-        for (i, r) in chunk {
-            match r {
-                Ok((f, events, nodes)) => {
-                    feats[i] = Some(f);
-                    total_events += events;
-                    total_nodes += nodes;
-                }
-                Err(source) => {
-                    let run = i as u32;
-                    if failure.as_ref().is_none_or(|f| run < f.run) {
-                        failure = Some(CampaignError {
-                            run,
-                            seed: config.sim_config(run).seed,
-                            source,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    if let Some(f) = failure {
-        return Err(Interrupted::Failed(f));
-    }
-    let feats: Vec<SparseFeatures> = feats.into_iter().flatten().collect();
-    if feats.len() < runs {
+    if done.len() < all.len() {
         return Err(Interrupted::Cancelled {
-            completed_runs: feats.len() as u32,
+            completed_runs: done.len() as u32,
         });
     }
-    check_cancel(cancel, config.runs)?;
+    check_cancel(ctx.cancel, config.runs)?;
+    let total_events = done.iter().map(|(_, (_, e, _))| e).sum();
+    let total_nodes = done.iter().map(|(_, (_, _, n))| n).sum();
+    let feats: Vec<SparseFeatures> = done.into_iter().map(|(_, (f, _, _))| f).collect();
     let matrix = {
         let _s = metrics.map(|m| m.span("kernel"));
-        gram_stage_from_features(&kernel.name(), &feats, config, metrics)
+        compute_gram(&kernel.name(), &feats, config, metrics)
     };
-    if let Some(m) = metrics {
-        m.counter("campaign/runs").add(config.runs as u64);
-        let nan = anacin_stats::nan_count(&matrix.pairwise_distances());
-        m.counter("stats/nan_distances").add(nan as u64);
-    }
+    finish_counters(config, &matrix, metrics);
     Ok(StreamingCampaignResult {
         config: config.clone(),
         program,
@@ -570,6 +697,17 @@ pub fn run_campaign_streaming_cancellable(
 mod tests {
     use super::*;
     use anacin_miniapps::Pattern;
+
+    fn observed(reg: &MetricsRegistry) -> RunCtx<'_> {
+        RunCtx {
+            metrics: Some(reg),
+            ..RunCtx::default()
+        }
+    }
+
+    fn streamed(cfg: &CampaignConfig) -> StreamingCampaignResult {
+        campaign_streaming(cfg, &RunCtx::default()).unwrap()
+    }
 
     #[test]
     fn campaign_produces_consistent_artifacts() {
@@ -605,7 +743,11 @@ mod tests {
         let cfg = CampaignConfig::new(Pattern::MessageRace, 6).runs(64);
         let token = CancelToken::new();
         token.cancel();
-        match run_campaign_cancellable(&cfg, None, None, 0, Some(&token)) {
+        let cancelled = RunCtx {
+            cancel: Some(&token),
+            ..RunCtx::default()
+        };
+        match campaign(&cfg, &cancelled) {
             Err(Interrupted::Cancelled { completed_runs }) => {
                 assert_eq!(
                     completed_runs, 0,
@@ -617,8 +759,12 @@ mod tests {
         }
         // The same config with an unfired token runs to completion and
         // matches the plain path bit-for-bit.
-        let live = run_campaign_cancellable(&cfg, None, None, 0, Some(&CancelToken::new()))
-            .expect("unfired token must not interrupt");
+        let unfired = CancelToken::new();
+        let live = RunCtx {
+            cancel: Some(&unfired),
+            ..RunCtx::default()
+        };
+        let live = campaign(&cfg, &live).expect("unfired token must not interrupt");
         let plain = run_campaign(&cfg).unwrap();
         assert_eq!(live.distance_sample(), plain.distance_sample());
     }
@@ -661,7 +807,10 @@ mod tests {
         let cfg = CampaignConfig::new(anacin_miniapps::Pattern::MessageRace, 2)
             .runs(4)
             .base_seed(77);
-        let err = run_traces(&program, &cfg).unwrap_err();
+        let err = match traces_stage(&program, &cfg, None, &RunCtx::default()) {
+            Err(Interrupted::Failed(e)) => e.into_campaign(),
+            _ => panic!("a deadlocking program must fail"),
+        };
         assert_eq!(err.run, 0);
         assert_eq!(err.seed, 77);
         assert!(matches!(err.source, SimError::Deadlock(_)));
@@ -675,7 +824,7 @@ mod tests {
     fn campaign_metrics_report_covers_every_stage() {
         let reg = MetricsRegistry::new();
         let cfg = CampaignConfig::new(Pattern::MessageRace, 6).runs(5);
-        let r = run_campaign_with_metrics(&cfg, Some(&reg)).unwrap();
+        let r = campaign(&cfg, &observed(&reg)).unwrap();
         let report = reg.report();
         // Per-stage wall-times present (non-negative by construction: the
         // report stores unsigned nanoseconds) for every pipeline stage.
@@ -742,7 +891,7 @@ mod tests {
             for threads in [1, 2, 8] {
                 let mut cfg = base_cfg.clone();
                 cfg.threads = threads;
-                let s = run_campaign_streaming(&cfg).unwrap();
+                let s = streamed(&cfg);
                 assert_eq!(s.matrix, base.matrix, "kernel={kc:?} threads={threads}");
                 assert_eq!(
                     s.total_events,
@@ -766,8 +915,8 @@ mod tests {
     #[test]
     fn streaming_campaign_is_reproducible() {
         let cfg = CampaignConfig::new(Pattern::UnstructuredMesh, 6).runs(6);
-        let a = run_campaign_streaming(&cfg).unwrap();
-        let b = run_campaign_streaming(&cfg).unwrap();
+        let a = streamed(&cfg);
+        let b = streamed(&cfg);
         assert_eq!(a.matrix, b.matrix);
         assert_eq!(a.total_events, b.total_events);
         assert_eq!(a.total_nodes, b.total_nodes);
@@ -777,7 +926,7 @@ mod tests {
     fn streaming_campaign_metrics_cover_stages() {
         let reg = MetricsRegistry::new();
         let cfg = CampaignConfig::new(Pattern::MessageRace, 6).runs(5);
-        let r = run_campaign_streaming_observed(&cfg, Some(&reg), None, 0).unwrap();
+        let r = campaign_streaming(&cfg, &observed(&reg)).unwrap();
         let report = reg.report();
         for stage in ["campaign", "campaign/stream", "campaign/kernel"] {
             assert!(report.span(stage).is_some(), "missing span {stage}");
@@ -800,7 +949,7 @@ mod tests {
             .dot(DotKind::Blocked);
         let r = run_campaign(&cfg).unwrap();
         assert_eq!(r.matrix, base.matrix);
-        let s = run_campaign_streaming(&cfg).unwrap();
+        let s = streamed(&cfg);
         assert_eq!(s.matrix, base.matrix, "streaming");
     }
 
@@ -826,9 +975,11 @@ mod tests {
         // A genuinely rank-deficient landmark set still reports a finite,
         // non-negative Frobenius error bound.
         let reg = MetricsRegistry::new();
-        let r =
-            run_campaign_with_metrics(&cfg.clone().approx(GramApprox::Landmarks(3)), Some(&reg))
-                .unwrap();
+        let r = campaign(
+            &cfg.clone().approx(GramApprox::Landmarks(3)),
+            &observed(&reg),
+        )
+        .unwrap();
         assert_eq!(r.matrix.len(), 8);
         let bound = reg
             .report()

@@ -16,27 +16,25 @@
 //!   schedule space a sampled campaign actually visited, and checks the
 //!   containment oracle (every sampled schedule ∈ explored set).
 //!
-//! Explored traces flow through the artifact store keyed by
-//! [`ScheduleId`] ([`explore_fingerprint`]), so re-exploring a setting is
-//! warm: the enumeration re-runs (it is fast and pure), but replays hit.
+//! Under a store policy ([`RunCtx::store`]), explored traces flow through
+//! the artifact store keyed by [`ScheduleId`] ([`explore_fingerprint`]),
+//! so re-exploring a setting is warm: the enumeration re-runs (it is fast
+//! and pure), but replays hit.
 
-use crate::campaign::{CampaignError, CampaignResult};
+use crate::campaign::{check_cancel, run_pool, CampaignError, CampaignResult, Interrupted, RunCtx};
 use crate::config::CampaignConfig;
 use crate::incremental::{absorb_setting, get_or_heal, IncrementalError};
 use anacin_event_graph::EventGraph;
 use anacin_kernels::matrix::{gram_matrix_with_metrics, KernelMatrix};
-use anacin_mpisim::engine::SimError;
 use anacin_mpisim::explore::{
     explore, flush_explore_metrics, simulate_scheduled, ExploreConfig, ExploreReport, Schedule,
     ScheduleId,
 };
 use anacin_mpisim::program::Program;
 use anacin_mpisim::trace::Trace;
-use anacin_obs::MetricsRegistry;
-use anacin_store::{ArtifactStore, Fingerprint, FingerprintHasher};
+use anacin_store::{Fingerprint, FingerprintHasher};
 use serde::Serialize;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The fingerprint naming the replayed trace of one explored schedule.
 /// Absorbs the run setting (pattern, app, ND, nodes, delay model), the
@@ -169,108 +167,78 @@ impl ExploreCampaignResult {
     }
 }
 
-/// Replay every explored schedule at the campaign's base seed, warm from
-/// the store when one is supplied. Schedule pins matching, seed pins
-/// delays: each replay is bit-deterministic, so warm and cold paths are
-/// byte-identical.
+/// Replay every explored schedule at the campaign's base seed through the
+/// run pool, warm from the store when one is supplied. Schedule pins
+/// matching, seed pins delays: each replay is bit-deterministic, so warm
+/// and cold paths are byte-identical. Replays are not sampled runs: they
+/// feed no `sim/*` counters and are not recorded into the tracer.
 fn replay_schedules(
     program: &Program,
     config: &CampaignConfig,
     schedules: &[Schedule],
-    store: Option<&ArtifactStore>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Vec<Trace>, IncrementalError> {
+    ctx: &RunCtx,
+) -> Result<Vec<Trace>, Interrupted<IncrementalError>> {
+    let store = ctx.store.store();
     let sc = config.sim_config(0);
-    let mut slots: Vec<Option<Trace>> = (0..schedules.len()).map(|_| None).collect();
-    let mut missing: Vec<usize> = Vec::new();
-    if let Some(store) = store {
-        for (i, s) in schedules.iter().enumerate() {
-            match get_or_heal::<Trace>(store, explore_fingerprint(config, s.id()))? {
-                Some(t) => slots[i] = Some(t),
-                None => missing.push(i),
-            }
+    let mut slots: Vec<Option<Trace>> = Vec::with_capacity(schedules.len());
+    let mut missing: Vec<u32> = Vec::new();
+    for (i, s) in schedules.iter().enumerate() {
+        let stored = match store {
+            Some(store) => get_or_heal::<Trace>(store, explore_fingerprint(config, s.id()))?,
+            None => None,
+        };
+        if stored.is_none() {
+            missing.push(i as u32);
         }
-    } else {
-        missing = (0..schedules.len()).collect();
+        slots.push(stored);
     }
-    if missing.is_empty() {
-        return Ok(slots
-            .into_iter()
-            .map(|t| t.expect("all slots filled"))
-            .collect());
-    }
-    let threads = config.threads.max(1).min(missing.len());
-    let next = AtomicUsize::new(0);
-    let results: Vec<Vec<(usize, Result<Trace, SimError>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let missing = &missing;
-                let sc = &sc;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        if slot >= missing.len() {
-                            break;
-                        }
-                        let i = missing[slot];
-                        local.push((i, simulate_scheduled(program, sc, &schedules[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    // Deterministic failure: report the lowest failing schedule index.
-    let mut failure: Option<CampaignError> = None;
-    let mut computed: Vec<(usize, Trace)> = Vec::with_capacity(missing.len());
-    for chunk in results {
-        for (i, r) in chunk {
-            match r {
-                Ok(t) => computed.push((i, t)),
-                Err(source) => {
-                    let run = i as u32;
-                    if failure.as_ref().is_none_or(|f| run < f.run) {
-                        failure = Some(CampaignError {
-                            run,
-                            seed: sc.seed,
-                            source,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    if let Some(f) = failure {
-        return Err(f.into());
-    }
-    computed.sort_by_key(|&(i, _)| i);
+    let pool_ctx = RunCtx {
+        cancel: ctx.cancel,
+        ..RunCtx::default()
+    };
+    let computed = run_pool(
+        &missing,
+        config.threads,
+        &pool_ctx,
+        |i, _| simulate_scheduled(program, &sc, &schedules[i as usize]),
+        |trace| trace,
+    )
+    .map_err(|(run, source)| CampaignError {
+        run,
+        seed: sc.seed,
+        source,
+    })?;
+    let cancelled = computed.len() < missing.len();
     for (i, t) in computed {
         if let Some(store) = store {
-            store.put(explore_fingerprint(config, schedules[i].id()), &t)?;
+            store.put(explore_fingerprint(config, schedules[i as usize].id()), &t)?;
         }
-        slots[i] = Some(t);
+        slots[i as usize] = Some(t);
     }
-    if let Some(m) = metrics {
+    if cancelled {
+        return Err(Interrupted::Cancelled {
+            completed_runs: slots.iter().flatten().count() as u32,
+        });
+    }
+    if let Some(m) = ctx.metrics.filter(|_| !missing.is_empty()) {
         m.counter("explore/replays").add(missing.len() as u64);
     }
-    Ok(slots
-        .into_iter()
-        .map(|t| t.expect("all slots filled"))
-        .collect())
+    Ok(slots.into_iter().flatten().collect())
 }
 
-fn explore_campaign_inner(
+/// Enumerate + replay + measure. With metrics it records per-stage spans
+/// (`explore/enumerate`, `explore/replay`, `explore/graph`,
+/// `explore/kernel`) and the standard explore counters; under a store
+/// policy, replays are warm from the store (append is the same as reuse:
+/// an explored matrix is never stored). `ctx.cancel` is checked before
+/// the replays and stops the replay pool; `ctx.tracer` and
+/// `ctx.run_base` are not used.
+pub fn explore_campaign(
     config: &CampaignConfig,
     xcfg: &ExploreConfig,
-    store: Option<&ArtifactStore>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<ExploreCampaignResult, IncrementalError> {
+    ctx: &RunCtx,
+) -> Result<ExploreCampaignResult, Interrupted<IncrementalError>> {
+    let metrics = ctx.metrics;
     let _outer = metrics.map(|m| m.span("explore"));
     let program = config.pattern.build(&config.app);
     let report = {
@@ -281,9 +249,10 @@ fn explore_campaign_inner(
         }
         r
     };
+    check_cancel(ctx.cancel, 0)?;
     let traces = {
         let _s = metrics.map(|m| m.span("replay"));
-        replay_schedules(&program, config, &report.schedules, store, metrics)?
+        replay_schedules(&program, config, &report.schedules, ctx)?
     };
     let graphs: Vec<EventGraph> = {
         let _s = metrics.map(|m| m.span("graph"));
@@ -307,56 +276,14 @@ fn explore_campaign_inner(
     })
 }
 
-/// Enumerate + replay + measure, without observability or a store.
-pub fn explore_campaign(
-    config: &CampaignConfig,
-    xcfg: &ExploreConfig,
-) -> Result<ExploreCampaignResult, CampaignError> {
-    explore_campaign_observed(config, xcfg, None)
-}
-
-/// [`explore_campaign`] with per-stage spans (`explore/enumerate`,
-/// `explore/replay`, `explore/graph`, `explore/kernel`) and the standard
-/// explore counters.
-pub fn explore_campaign_observed(
-    config: &CampaignConfig,
-    xcfg: &ExploreConfig,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<ExploreCampaignResult, CampaignError> {
-    explore_campaign_inner(config, xcfg, None, metrics).map_err(|e| match e {
-        IncrementalError::Campaign(c) => c,
-        IncrementalError::Store(_) => unreachable!("no store in use"),
-    })
-}
-
-/// [`explore_campaign`] against an artifact store: replayed traces are
-/// keyed by [`explore_fingerprint`], so a repeated exploration of the
-/// same setting reuses every stored replay.
-pub fn explore_campaign_incremental(
-    config: &CampaignConfig,
-    xcfg: &ExploreConfig,
-    store: &ArtifactStore,
-) -> Result<ExploreCampaignResult, IncrementalError> {
-    explore_campaign_inner(config, xcfg, Some(store), None)
-}
-
-/// [`explore_campaign_incremental`] with the full instrumentation of
-/// [`explore_campaign_observed`].
-pub fn explore_campaign_incremental_observed(
-    config: &CampaignConfig,
-    xcfg: &ExploreConfig,
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<ExploreCampaignResult, IncrementalError> {
-    explore_campaign_inner(config, xcfg, Some(store), metrics)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::{run_campaign, StorePolicy};
     use anacin_miniapps::Pattern;
+    use anacin_obs::MetricsRegistry;
     use anacin_store::Artifact;
+    use anacin_store::ArtifactStore;
     use std::path::PathBuf;
 
     fn small_cfg() -> CampaignConfig {
@@ -375,7 +302,7 @@ mod tests {
     fn message_race_explores_completely_and_covers_samples() {
         // 4 senders → 4! = 24 distinct schedules.
         let cfg = small_cfg();
-        let r = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
+        let r = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
         assert_eq!(r.report.schedules.len(), 24);
         assert!(r.report.is_complete());
         assert_eq!(r.traces.len(), 24);
@@ -392,8 +319,8 @@ mod tests {
     #[test]
     fn explore_campaign_is_deterministic() {
         let cfg = small_cfg();
-        let a = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
-        let b = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
+        let a = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
+        let b = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
         assert_eq!(a.report.ids(), b.report.ids());
         assert_eq!(a.traces, b.traces);
         assert_eq!(a.matrix, b.matrix);
@@ -406,8 +333,13 @@ mod tests {
         // the schedule, which is what makes explored_max comparable to
         // sampled maxima.
         let cfg = small_cfg();
-        let a = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
-        let b = explore_campaign(&cfg.clone().base_seed(999), &ExploreConfig::default()).unwrap();
+        let a = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
+        let b = explore_campaign(
+            &cfg.clone().base_seed(999),
+            &ExploreConfig::default(),
+            &RunCtx::default(),
+        )
+        .unwrap();
         assert_eq!(a.report.ids(), b.report.ids());
         assert_eq!(a.matrix, b.matrix);
         // Self-distances vanish: distinct schedules drive all spread.
@@ -420,9 +352,13 @@ mod tests {
     fn store_makes_re_exploration_warm_and_bit_identical() {
         let cfg = small_cfg();
         let (dir, store) = tmp_store("warm");
-        let cold = explore_campaign_incremental(&cfg, &ExploreConfig::default(), &store).unwrap();
+        let stored = RunCtx {
+            store: StorePolicy::Reuse(&store),
+            ..RunCtx::default()
+        };
+        let cold = explore_campaign(&cfg, &ExploreConfig::default(), &stored).unwrap();
         let before = store.activity();
-        let warm = explore_campaign_incremental(&cfg, &ExploreConfig::default(), &store).unwrap();
+        let warm = explore_campaign(&cfg, &ExploreConfig::default(), &stored).unwrap();
         let after = store.activity();
         assert!(after.hits >= before.hits + cold.traces.len() as u64);
         assert_eq!(warm.traces, cold.traces);
@@ -431,7 +367,7 @@ mod tests {
         }
         assert_eq!(warm.matrix, cold.matrix);
         // And both agree with the storeless path.
-        let plain = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
+        let plain = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
         assert_eq!(plain.traces, cold.traces);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -440,7 +376,7 @@ mod tests {
     fn truncated_exploration_reports_incomplete_coverage() {
         let cfg = small_cfg();
         let xcfg = ExploreConfig::with_budget(6);
-        let r = explore_campaign(&cfg, &xcfg).unwrap();
+        let r = explore_campaign(&cfg, &xcfg, &RunCtx::default()).unwrap();
         assert_eq!(r.report.schedules.len(), 6);
         assert!(!r.report.is_complete());
         let sampled = run_campaign(&cfg).unwrap();
@@ -452,7 +388,15 @@ mod tests {
     fn explore_metrics_cover_every_stage() {
         let cfg = small_cfg();
         let m = MetricsRegistry::new();
-        let r = explore_campaign_observed(&cfg, &ExploreConfig::default(), Some(&m)).unwrap();
+        let r = explore_campaign(
+            &cfg,
+            &ExploreConfig::default(),
+            &RunCtx {
+                metrics: Some(&m),
+                ..RunCtx::default()
+            },
+        )
+        .unwrap();
         let rep = m.report();
         for stage in [
             "explore",
@@ -474,14 +418,29 @@ mod tests {
         assert!(rep.counter("explore/pruned").is_some());
         assert_eq!(rep.counter("explore/replays"), Some(24));
         // Observability never changes the measurement.
-        let plain = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
+        let plain = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
         assert_eq!(r.matrix, plain.matrix);
+    }
+
+    #[test]
+    fn pre_cancelled_exploration_replays_nothing() {
+        let token = anacin_obs::CancelToken::new();
+        token.cancel();
+        let ctx = RunCtx {
+            cancel: Some(&token),
+            ..RunCtx::default()
+        };
+        let r = explore_campaign(&small_cfg(), &ExploreConfig::default(), &ctx);
+        assert!(matches!(
+            r,
+            Err(Interrupted::Cancelled { completed_runs: 0 })
+        ));
     }
 
     #[test]
     fn explore_fingerprints_separate_inputs() {
         let cfg = small_cfg();
-        let r = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
+        let r = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
         let a = r.report.schedules[0].id();
         let b = r.report.schedules[1].id();
         let base = explore_fingerprint(&cfg, a);

@@ -31,30 +31,19 @@
 //! pipeline semantics requires bumping [`KEY_SCHEMA`], which cleanly
 //! invalidates every old key.
 
-use crate::campaign::{check_cancel, CampaignError, CampaignResult, Interrupted};
-use crate::config::{CampaignConfig, GramApprox};
-use anacin_event_graph::EventGraph;
-use anacin_kernels::approx::landmark_gram;
-use anacin_kernels::feature::SparseFeatures;
-use anacin_kernels::matrix::{gram_append, gram_from_features_with_metrics, KernelMatrix};
-use anacin_mpisim::engine::{simulate_traced_counted, SimError};
-use anacin_mpisim::program::Program;
-use anacin_mpisim::trace::Trace;
-use anacin_mpisim::SimCounters;
-use anacin_obs::{CancelToken, MetricsRegistry, Tracer};
-use anacin_store::{
-    Artifact, ArtifactStore, DistanceSample, Fingerprint, FingerprintHasher, StoreError,
-};
+use crate::campaign::{campaign, CampaignError, CampaignResult, Interrupted, RunCtx, StorePolicy};
+use crate::config::CampaignConfig;
+use anacin_obs::MetricsRegistry;
+use anacin_store::{Artifact, ArtifactStore, Fingerprint, FingerprintHasher, StoreError};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Version of the key material fed into fingerprints. Bump whenever the
 /// pipeline's semantics change in a way that should invalidate previously
 /// stored artifacts (every old key then misses cleanly).
 pub const KEY_SCHEMA: u32 = 1;
 
-/// An incremental campaign failed: either the pipeline itself, or the
-/// artifact store underneath it.
+/// A campaign failed: either a seeded run, or the artifact store
+/// underneath it.
 #[derive(Debug)]
 pub enum IncrementalError {
     /// A seeded run failed to simulate.
@@ -77,6 +66,16 @@ impl std::error::Error for IncrementalError {
         match self {
             IncrementalError::Campaign(e) => Some(e),
             IncrementalError::Store(e) => Some(e),
+        }
+    }
+}
+
+impl IncrementalError {
+    /// The run failure of a campaign that used no store.
+    pub(crate) fn into_campaign(self) -> CampaignError {
+        match self {
+            IncrementalError::Campaign(e) => e,
+            IncrementalError::Store(e) => unreachable!("no store in use, yet: {e}"),
         }
     }
 }
@@ -180,417 +179,47 @@ pub(crate) fn get_or_heal<A: Artifact>(
     }
 }
 
-/// Simulate exactly the given runs (identified by run index) in parallel,
-/// with per-worker batched counters. Failure reports the lowest failing
-/// run index, matching [`crate::campaign::run_traces_observed`]. Once
-/// `cancel` fires, workers stop claiming runs; the caller detects
-/// cancellation by the result being shorter than `missing`.
-fn simulate_runs(
-    program: &Program,
-    config: &CampaignConfig,
-    missing: &[u32],
-    metrics: Option<&MetricsRegistry>,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<(u32, Trace)>, CampaignError> {
-    if missing.is_empty() {
-        // Fully warm: spawn no workers (and create no `sim/*` counters —
-        // a warm campaign performs no simulation work to report).
-        return Ok(Vec::new());
-    }
-    let threads = config.threads.max(1).min(missing.len());
-    let next = AtomicUsize::new(0);
-    let results: Vec<Vec<(u32, Result<Trace, SimError>)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                s.spawn(move || {
-                    let counters = metrics.map(SimCounters::new);
-                    let mut local = Vec::new();
-                    loop {
-                        if cancel.is_some_and(|c| c.is_cancelled()) {
-                            break;
-                        }
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        if slot >= missing.len() {
-                            break;
-                        }
-                        let run = missing[slot];
-                        let sc = config.sim_config(run);
-                        local.push((
-                            run,
-                            simulate_traced_counted(program, &sc, metrics, None, counters.as_ref()),
-                        ));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(missing.len());
-    let mut failure: Option<CampaignError> = None;
-    for chunk in results {
-        for (run, r) in chunk {
-            match r {
-                Ok(t) => out.push((run, t)),
-                Err(source) => {
-                    if failure.as_ref().is_none_or(|f| run < f.run) {
-                        failure = Some(CampaignError {
-                            run,
-                            seed: config.sim_config(run).seed,
-                            source,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    if let Some(f) = failure {
-        return Err(f);
-    }
-    out.sort_by_key(|&(run, _)| run);
-    Ok(out)
-}
-
 /// Run a campaign against an artifact store: reuse every stored artifact,
-/// compute and publish the rest. See the module docs for the key scheme
-/// and the warm-path bit-identity guarantee.
+/// compute and publish the rest — [`campaign`] under
+/// [`StorePolicy::Reuse`]. See the module docs for the key scheme and the
+/// warm-path bit-identity guarantee.
 pub fn run_campaign_incremental(
     config: &CampaignConfig,
     store: &ArtifactStore,
 ) -> Result<CampaignResult, IncrementalError> {
-    run_campaign_incremental_with_metrics(config, store, None)
-}
-
-/// [`run_campaign_incremental`] with the same per-stage instrumentation as
-/// [`crate::campaign::run_campaign_with_metrics`]. Counters reflect work
-/// actually performed: warm runs bump `store/hits` instead of `sim/*`.
-pub fn run_campaign_incremental_with_metrics(
-    config: &CampaignConfig,
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<CampaignResult, IncrementalError> {
-    run_campaign_incremental_observed(config, store, metrics, None, 0)
-}
-
-/// [`run_campaign_incremental_with_metrics`], plus timeline tracing: with
-/// a [`Tracer`], every run's trace — warm or cold — is emitted tagged with
-/// `run_base + i`, so a resumed campaign produces the same complete
-/// timeline as an uninterrupted one.
-pub fn run_campaign_incremental_observed(
-    config: &CampaignConfig,
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-    tracer: Option<&Tracer>,
-    run_base: u32,
-) -> Result<CampaignResult, IncrementalError> {
-    run_campaign_incremental_cancellable(config, store, metrics, tracer, run_base, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`run_campaign_incremental_observed`] with cooperative cancellation.
-/// Every run that finished simulating before `cancel` fired is still
-/// published to the store, so a cancelled campaign resumes warm: the
-/// daemon's per-job cancellation (client disconnect, timeout, `Cancel`
-/// frame) never throws away completed work.
-pub fn run_campaign_incremental_cancellable(
-    config: &CampaignConfig,
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-    tracer: Option<&Tracer>,
-    run_base: u32,
-    cancel: Option<&CancelToken>,
-) -> Result<CampaignResult, Interrupted<IncrementalError>> {
-    let _campaign_span = metrics.map(|m| m.span("campaign"));
-    let program = config.pattern.build(&config.app);
-    let runs = config.runs;
-    let (traces, graphs) =
-        load_or_compute_runs(&program, config, store, metrics, tracer, run_base, cancel)?;
-
-    // Stage 3: per-run feature vectors, then the Gram matrix from them.
-    let kernel = config.kernel.instantiate();
-    let matrix = {
-        let _s = metrics.map(|m| m.span("kernel"));
-        let mut feats: Vec<Option<SparseFeatures>> = (0..runs).map(|_| None).collect();
-        let mut missing = Vec::new();
-        for run in 0..runs {
-            match get_or_heal::<SparseFeatures>(store, features_fingerprint(config, run))? {
-                Some(f) => feats[run as usize] = Some(f),
-                None => missing.push(run as usize),
-            }
-        }
-        let feats = fill_missing_features(config, store, &graphs, &missing, feats, metrics)?;
-        if let GramApprox::Landmarks(k) = config.approx {
-            // Approximate matrices are never published to (or read from)
-            // the store: campaign-level keys name exact artifacts only,
-            // so an approximate run can never poison a warm exact one.
-            // Per-run features still warm-hit and publish as usual.
-            landmark_gram(
-                &kernel.name(),
-                &feats,
-                k,
-                config.threads,
-                config.dot,
-                metrics,
-            )
-            .matrix
-        } else {
-            let campaign_fp = campaign_fingerprint(config);
-            match get_or_heal::<KernelMatrix>(store, campaign_fp)? {
-                Some(m) => m,
-                None => {
-                    let m = gram_from_features_with_metrics(
-                        &kernel.name(),
-                        &feats,
-                        config.threads,
-                        metrics,
-                    );
-                    store.put(campaign_fp, &m)?;
-                    store.put(campaign_fp, &DistanceSample(m.pairwise_distances()))?;
-                    m
-                }
-            }
-        }
+    let ctx = RunCtx {
+        store: StorePolicy::Reuse(store),
+        ..RunCtx::default()
     };
-
-    finish_counters(config, &matrix, metrics);
-    Ok(CampaignResult {
-        config: config.clone(),
-        program,
-        traces,
-        graphs,
-        matrix,
-    })
+    campaign(config, &ctx).map_err(Interrupted::into_failure)
 }
 
-/// Stages 1–2 of the incremental pipeline: every run's trace and event
-/// graph, warm-or-computed and published. Shared verbatim by the full
-/// runner and the append runner, so both produce identical artifacts.
-fn load_or_compute_runs(
-    program: &Program,
-    config: &CampaignConfig,
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-    tracer: Option<&Tracer>,
-    run_base: u32,
-    cancel: Option<&CancelToken>,
-) -> Result<(Vec<Trace>, Vec<EventGraph>), Interrupted<IncrementalError>> {
-    let runs = config.runs;
-
-    // Stage 1: traces — load what the store has, simulate the rest.
-    let traces: Vec<Trace> = {
-        let _s = metrics.map(|m| m.span("simulate"));
-        let mut slots: Vec<Option<Trace>> = (0..runs).map(|_| None).collect();
-        let mut missing = Vec::new();
-        for run in 0..runs {
-            match get_or_heal::<Trace>(store, run_fingerprint(config, run))? {
-                Some(t) => slots[run as usize] = Some(t),
-                None => missing.push(run),
-            }
-        }
-        let simulated = simulate_runs(program, config, &missing, metrics, cancel)?;
-        let cancelled = simulated.len() < missing.len();
-        for (run, t) in simulated {
-            store.put(run_fingerprint(config, run), &t)?;
-            slots[run as usize] = Some(t);
-        }
-        if cancelled {
-            let completed = slots.iter().filter(|s| s.is_some()).count() as u32;
-            return Err(Interrupted::Cancelled {
-                completed_runs: completed,
-            });
-        }
-        slots
-            .into_iter()
-            .map(|t| t.expect("all slots filled"))
-            .collect()
-    };
-    check_cancel(cancel, runs)?;
-    if let Some(t) = tracer {
-        for (i, trace) in traces.iter().enumerate() {
-            trace.record_into(t, run_base + i as u32);
-        }
-    }
-
-    // Stage 2: event graphs.
-    let graphs: Vec<EventGraph> = {
-        let _s = metrics.map(|m| m.span("graph"));
-        let mut out = Vec::with_capacity(traces.len());
-        for (run, trace) in traces.iter().enumerate() {
-            let fp = run_fingerprint(config, run as u32);
-            let g = match get_or_heal::<EventGraph>(store, fp)? {
-                Some(g) => g,
-                None => {
-                    let g = EventGraph::from_trace_with_metrics(trace, metrics);
-                    store.put(fp, &g)?;
-                    g
-                }
-            };
-            out.push(g);
-        }
-        out
-    };
-    check_cancel(cancel, runs)?;
-    Ok((traces, graphs))
-}
-
-/// Extract (in parallel, straight from `graphs`) and publish the feature
-/// vectors listed in `missing`, then unwrap the fully-filled slot vector.
-fn fill_missing_features(
-    config: &CampaignConfig,
-    store: &ArtifactStore,
-    graphs: &[EventGraph],
-    missing: &[usize],
-    mut feats: Vec<Option<SparseFeatures>>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Vec<SparseFeatures>, StoreError> {
-    if !missing.is_empty() {
-        let kernel = config.kernel.instantiate();
-        let computed = anacin_kernels::matrix::parallel_features_at(
-            kernel.as_ref(),
-            graphs,
-            missing,
-            config.threads,
-            metrics,
-        );
-        for (&i, f) in missing.iter().zip(computed) {
-            store.put(features_fingerprint(config, i as u32), &f)?;
-            feats[i] = Some(f);
-        }
-    }
-    Ok(feats
-        .into_iter()
-        .map(|f| f.expect("all slots filled"))
-        .collect())
-}
-
-/// The end-of-campaign counters shared by every incremental runner.
-fn finish_counters(
-    config: &CampaignConfig,
-    matrix: &KernelMatrix,
-    metrics: Option<&MetricsRegistry>,
-) {
-    if let Some(m) = metrics {
-        m.counter("campaign/runs").add(config.runs as u64);
-        let nan = anacin_stats::nan_count(&matrix.pairwise_distances());
-        m.counter("stats/nan_distances").add(nan as u64);
-    }
-}
-
-/// Append new runs onto a stored campaign: reuse the largest stored
-/// prefix matrix and compute only the new rows/columns.
-///
-/// For a stored `R`-run campaign extended to `R + 1` runs, the kernel
-/// stage performs exactly `R + 1` new dot products (one new row of the
-/// Gram matrix, diagonal included) instead of the `O(R²)` a recompute
-/// would — the difference between constant-time-per-run and
-/// quadratic-per-run growth when a campaign accretes thousands of runs.
-/// The extended matrix is published under the extended run-set
-/// fingerprint and is **byte-identical** to a cold recompute (asserted by
-/// the differential tests below): `gram_append` copies the stored values
-/// and computes each new entry with the pairwise dot, which the k-way
-/// cold Gram equals bit for bit.
-///
-/// With no stored prefix (or an approximate config, which never publishes
-/// campaign-level artifacts) this delegates to
-/// [`run_campaign_incremental_cancellable`].
-pub fn run_campaign_append(
-    config: &CampaignConfig,
-    store: &ArtifactStore,
-) -> Result<CampaignResult, IncrementalError> {
-    run_campaign_append_with_metrics(config, store, None)
-}
-
-/// [`run_campaign_append`] with per-stage instrumentation; see
-/// [`run_campaign_incremental_with_metrics`].
+/// Append new runs onto a stored campaign, recording per-stage metrics:
+/// [`campaign`] under [`StorePolicy::Append`]. For a stored `R`-run
+/// campaign extended to `R + 1` runs, the kernel stage performs exactly
+/// `R + 1` new dot products instead of the `O(R²)` a recompute would, and
+/// the published matrix is byte-identical to a cold recompute.
 pub fn run_campaign_append_with_metrics(
     config: &CampaignConfig,
     store: &ArtifactStore,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<CampaignResult, IncrementalError> {
-    run_campaign_append_cancellable(config, store, metrics, None, 0, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`run_campaign_append`] with tracing and cooperative cancellation,
-/// mirroring [`run_campaign_incremental_cancellable`].
-pub fn run_campaign_append_cancellable(
-    config: &CampaignConfig,
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-    tracer: Option<&Tracer>,
-    run_base: u32,
-    cancel: Option<&CancelToken>,
-) -> Result<CampaignResult, Interrupted<IncrementalError>> {
-    // Find the largest stored prefix: the campaign key is a pure function
-    // of the run set, so a shorter campaign with the same base seed is
-    // exactly a prefix of this one.
-    let mut prefix: Option<(u32, KernelMatrix)> = None;
-    if config.approx == GramApprox::Exact {
-        for r in (1..=config.runs).rev() {
-            let sub = config.clone().runs(r);
-            if let Some(m) = get_or_heal::<KernelMatrix>(store, campaign_fingerprint(&sub))? {
-                prefix = Some((r, m));
-                break;
-            }
-        }
-    }
-    let Some((stored_runs, stored)) = prefix else {
-        return run_campaign_incremental_cancellable(
-            config, store, metrics, tracer, run_base, cancel,
-        );
+    let ctx = RunCtx {
+        metrics,
+        store: StorePolicy::Append(store),
+        ..RunCtx::default()
     };
-
-    let _campaign_span = metrics.map(|m| m.span("campaign"));
-    let program = config.pattern.build(&config.app);
-    let (traces, graphs) =
-        load_or_compute_runs(&program, config, store, metrics, tracer, run_base, cancel)?;
-
-    let matrix = {
-        let _s = metrics.map(|m| m.span("kernel"));
-        let mut feats: Vec<Option<SparseFeatures>> = (0..config.runs).map(|_| None).collect();
-        let mut missing = Vec::new();
-        for run in 0..config.runs {
-            match get_or_heal::<SparseFeatures>(store, features_fingerprint(config, run))? {
-                Some(f) => feats[run as usize] = Some(f),
-                None => missing.push(run as usize),
-            }
-        }
-        let feats = fill_missing_features(config, store, &graphs, &missing, feats, metrics)?;
-        let mut m = stored;
-        for grown in stored_runs + 1..=config.runs {
-            m = gram_append(
-                &m,
-                &feats[..grown as usize],
-                config.threads,
-                config.dot,
-                metrics,
-            );
-            let fp = campaign_fingerprint(&config.clone().runs(grown));
-            store.put(fp, &m)?;
-            store.put(fp, &DistanceSample(m.pairwise_distances()))?;
-        }
-        m
-    };
-
-    finish_counters(config, &matrix, metrics);
-    Ok(CampaignResult {
-        config: config.clone(),
-        program,
-        traces,
-        graphs,
-        matrix,
-    })
+    campaign(config, &ctx).map_err(Interrupted::into_failure)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::run_campaign;
+    use crate::config::GramApprox;
+    use anacin_kernels::matrix::KernelMatrix;
     use anacin_miniapps::Pattern;
+    use anacin_mpisim::trace::Trace;
     use anacin_store::ArtifactKind;
     use std::path::PathBuf;
 
@@ -631,7 +260,12 @@ mod tests {
 
         let reg = MetricsRegistry::new();
         store.attach_metrics(&reg);
-        let warm = run_campaign_incremental_with_metrics(&cfg, &store, Some(&reg)).unwrap();
+        let ctx = RunCtx {
+            metrics: Some(&reg),
+            store: StorePolicy::Reuse(&store),
+            ..RunCtx::default()
+        };
+        let warm = campaign(&cfg, &ctx).unwrap();
         assert_eq!(warm.traces, cold.traces);
         assert_eq!(warm.graphs, cold.graphs);
         assert_eq!(warm.matrix, cold.matrix);
@@ -822,7 +456,7 @@ mod tests {
                 let mut cfg = base_cfg.clone().runs(8).dot(dot);
                 cfg.threads = threads;
                 let (dir, store) = tmp_store(&format!("append-abt-{dot}-{threads}"));
-                let cold = run_campaign_append(&cfg, &store).unwrap();
+                let cold = run_campaign_append_with_metrics(&cfg, &store, None).unwrap();
                 assert_eq!(
                     cold.matrix, reference.matrix,
                     "cold dot={dot} threads={threads}"
@@ -833,11 +467,11 @@ mod tests {
                 let mut grown = cfg.clone();
                 for runs in 9..=10 {
                     grown = grown.runs(runs);
-                    let r = run_campaign_append(&grown, &store).unwrap();
+                    let r = run_campaign_append_with_metrics(&grown, &store, None).unwrap();
                     assert_eq!(r.matrix.len(), runs as usize);
                 }
                 let full = run_campaign(&grown).unwrap();
-                let warm = run_campaign_append(&grown, &store).unwrap();
+                let warm = run_campaign_append_with_metrics(&grown, &store, None).unwrap();
                 assert_eq!(warm.matrix, full.matrix, "warm dot={dot} threads={threads}");
                 let _ = std::fs::remove_dir_all(dir);
             }
@@ -848,7 +482,7 @@ mod tests {
     fn append_without_stored_prefix_delegates_to_full_incremental() {
         let cfg = small_cfg();
         let (dir, store) = tmp_store("append-fallback");
-        let viaappend = run_campaign_append(&cfg, &store).unwrap();
+        let viaappend = run_campaign_append_with_metrics(&cfg, &store, None).unwrap();
         let plain = run_campaign(&cfg).unwrap();
         assert_eq!(viaappend.matrix, plain.matrix);
         assert_eq!(viaappend.traces, plain.traces);

@@ -3,12 +3,19 @@
 //! The ANACIN-X analysis pipeline — the paper's primary contribution,
 //! assembled from the substrate crates:
 //!
-//! 1. **Campaigns** ([`campaign`]): run a mini-application many times (in
-//!    parallel, seeded) and build the event graph of every run.
+//! 1. **Campaigns** ([`campaign()`]): run a mini-application many times
+//!    (in parallel, seeded) and build the event graph of every run. One
+//!    [`RunCtx`] carries the cross-cutting concerns — metrics, tracer,
+//!    cancellation, artifact-store policy — so the whole public runner
+//!    surface is [`campaign()`], [`campaign::campaign_streaming`],
+//!    [`explore::explore_campaign`] and [`sweep::sweep`], plus the plain
+//!    [`run_campaign`] and the store shorthands [`run_campaign_incremental`]
+//!    and [`incremental::run_campaign_append_with_metrics`].
 //! 2. **Measurement** ([`measure`]): the pairwise kernel-distance sample
 //!    over the runs is the measured amount of non-determinism.
-//! 3. **Sweeps** ([`sweep`]): vary ND%, process count, or iteration count
-//!    and measure at each setting — the paper's Figures 5, 6 and 7.
+//! 3. **Sweeps** ([`sweep::sweep`]): vary ND%, process count, or
+//!    iteration count and measure at each setting — the paper's Figures
+//!    5, 6 and 7.
 //! 4. **Root-cause analysis** ([`root_cause`]): localise the call paths
 //!    active in the most-divergent logical-time windows — Figure 8.
 //!
@@ -24,6 +31,13 @@
 //! // And at 0% the same program is perfectly deterministic.
 //! let det = run_campaign(&cfg.clone().nd_percent(0.0)).unwrap();
 //! assert_eq!(det.mean_distance(), 0.0);
+//!
+//! // Observing a campaign is a context, not a different function.
+//! let reg = anacin_obs::MetricsRegistry::new();
+//! let ctx = RunCtx { metrics: Some(&reg), ..RunCtx::default() };
+//! let observed = campaign(&cfg, &ctx).unwrap();
+//! assert_eq!(observed.matrix, result.matrix);
+//! assert_eq!(reg.report().counter("campaign/runs"), Some(10));
 //! ```
 
 #![warn(missing_docs)]
@@ -42,23 +56,16 @@ pub mod sweep;
 pub mod prelude {
     pub use crate::ablation::{ablate, default_kernels, AblationReport, AblationRow};
     pub use crate::campaign::{
-        run_campaign, run_campaign_cancellable, run_campaign_observed, run_campaign_streaming,
-        run_campaign_streaming_cancellable, run_campaign_streaming_observed,
-        run_campaign_with_metrics, run_traces, run_traces_cancellable, run_traces_observed,
-        run_traces_with_metrics, CampaignError, CampaignResult, Interrupted,
-        StreamingCampaignResult,
+        campaign, campaign_streaming, run_campaign, CampaignError, CampaignResult, Interrupted,
+        RunCtx, StorePolicy, StreamingCampaignResult,
     };
     pub use crate::config::{default_threads, CampaignConfig, GramApprox, KernelChoice};
     pub use crate::explore::{
-        explore_campaign, explore_campaign_incremental, explore_campaign_incremental_observed,
-        explore_campaign_observed, explore_fingerprint, ExploreCampaignResult, ExploreCoverage,
+        explore_campaign, explore_fingerprint, ExploreCampaignResult, ExploreCoverage,
     };
     pub use crate::incremental::{
-        campaign_fingerprint, features_fingerprint, run_campaign_append,
-        run_campaign_append_cancellable, run_campaign_append_with_metrics,
-        run_campaign_incremental, run_campaign_incremental_cancellable,
-        run_campaign_incremental_observed, run_campaign_incremental_with_metrics, run_fingerprint,
-        IncrementalError, KEY_SCHEMA,
+        campaign_fingerprint, features_fingerprint, run_campaign_append_with_metrics,
+        run_campaign_incremental, run_fingerprint, IncrementalError, KEY_SCHEMA,
     };
     pub use crate::measure::NdMeasurement;
     pub use crate::report::{
@@ -68,20 +75,10 @@ pub mod prelude {
     pub use crate::root_cause::{
         analyze, window_scores, CallstackRanking, RootCauseConfig, WindowScore,
     };
-    pub use crate::sweep::{
-        sweep_iterations, sweep_iterations_cancellable, sweep_iterations_instrumented,
-        sweep_iterations_instrumented_cancellable, sweep_iterations_stored,
-        sweep_iterations_stored_cancellable, sweep_iterations_with_metrics, sweep_nd_percent,
-        sweep_nd_percent_cancellable, sweep_nd_percent_instrumented,
-        sweep_nd_percent_instrumented_cancellable, sweep_nd_percent_stored,
-        sweep_nd_percent_stored_cancellable, sweep_nd_percent_with_metrics, sweep_procs,
-        sweep_procs_cancellable, sweep_procs_instrumented, sweep_procs_instrumented_cancellable,
-        sweep_procs_stored, sweep_procs_stored_cancellable, sweep_procs_with_metrics, Sweep,
-        SweepMetrics, SweepPoint, SweepPointMetrics,
-    };
+    pub use crate::sweep::{sweep, Sweep, SweepAxis, SweepMetrics, SweepPoint, SweepPointMetrics};
 }
 
-pub use campaign::{run_campaign, run_campaign_with_metrics, CampaignError, CampaignResult};
+pub use campaign::{campaign, run_campaign, CampaignError, CampaignResult, RunCtx, StorePolicy};
 pub use config::{CampaignConfig, GramApprox, KernelChoice};
 pub use incremental::{run_campaign_incremental, IncrementalError};
 pub use measure::NdMeasurement;

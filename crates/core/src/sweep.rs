@@ -1,18 +1,16 @@
-//! Parameter sweeps: the shape of every evaluation figure.
+//! Parameter sweeps: the shape of every evaluation figure. One
+//! [`sweep`] runs any [`SweepAxis`]:
 //!
-//! * [`sweep_nd_percent`] — Figure 7 (kernel distance vs injected ND%);
-//! * [`sweep_procs`] — Figure 5 (process-count scaling);
-//! * [`sweep_iterations`] — Figure 6 (iteration scaling).
+//! * [`SweepAxis::NdPercent`] — Figure 7 (kernel distance vs injected ND%);
+//! * [`SweepAxis::Procs`] — Figure 5 (process-count scaling);
+//! * [`SweepAxis::Iterations`] — Figure 6 (iteration scaling).
 
-use crate::campaign::{
-    check_cancel, run_campaign_cancellable, CampaignError, CampaignResult, Interrupted,
-};
+use crate::campaign::{campaign, check_cancel, Interrupted, RunCtx};
 use crate::config::CampaignConfig;
-use crate::incremental::{run_campaign_incremental_cancellable, IncrementalError};
+use crate::incremental::IncrementalError;
 use crate::measure::NdMeasurement;
-use anacin_obs::{CancelToken, MetricsRegistry, MetricsReport, Tracer};
+use anacin_obs::{MetricsRegistry, MetricsReport};
 use anacin_stats::prelude::spearman;
-use anacin_store::ArtifactStore;
 use serde::{Deserialize, Serialize};
 
 /// One sweep point: the swept value and its measurement.
@@ -31,6 +29,8 @@ pub struct Sweep {
     pub parameter: String,
     /// The points, in sweep order.
     pub points: Vec<SweepPoint>,
+    /// Per-point metrics, when the sweep ran with a registry.
+    pub metrics: Option<SweepMetrics>,
 }
 
 impl Sweep {
@@ -85,77 +85,139 @@ pub struct SweepPointMetrics {
     pub report: MetricsReport,
 }
 
-/// Metrics of an instrumented sweep: one report per point plus their
-/// merged aggregate — the per-point breakdown lets stage time be plotted
-/// against the swept parameter instead of lumping all campaigns together.
+/// Metrics of a sweep run with a registry: one report per point plus the
+/// aggregate — the per-point breakdown lets stage time be plotted against
+/// the swept parameter instead of lumping all campaigns together.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepMetrics {
-    /// All per-point reports merged ([`MetricsReport::merge`]).
+    /// The sweep's registry after the sweep: every point's instruments,
+    /// plus whatever else reported into it (e.g. store activity).
     pub aggregate: MetricsReport,
     /// One entry per sweep point, in sweep order.
     pub points: Vec<SweepPointMetrics>,
 }
 
-/// The `(x, label, config)` triples of each sweep kind, built in one
-/// place so the plain, instrumented, stored, and cancellable paths can
-/// never disagree on labels or configs.
-fn nd_configs(base: &CampaignConfig, percents: &[f64]) -> Vec<(f64, String, CampaignConfig)> {
-    percents
-        .iter()
-        .map(|&p| (p, format!("nd={p}%"), base.clone().nd_percent(p)))
-        .collect()
+/// The swept parameter and the values it takes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SweepAxis {
+    /// Injected ND percentage (Figure 7: 0..=100 in steps of 10).
+    NdPercent(Vec<f64>),
+    /// Process count (Figure 5 compares 16 vs 32).
+    Procs(Vec<u32>),
+    /// Iteration count (Figure 6 compares 1 vs 2).
+    Iterations(Vec<u32>),
 }
 
-fn procs_configs(base: &CampaignConfig, procs: &[u32]) -> Vec<(f64, String, CampaignConfig)> {
-    procs
-        .iter()
-        .map(|&n| {
-            let mut cfg = base.clone();
-            cfg.app.procs = n;
-            (n as f64, format!("{n} procs"), cfg)
-        })
-        .collect()
-}
-
-fn iterations_configs(
-    base: &CampaignConfig,
-    iterations: &[u32],
-) -> Vec<(f64, String, CampaignConfig)> {
-    iterations
-        .iter()
-        .map(|&it| {
-            (
-                it as f64,
-                format!("{it} iteration{}", if it == 1 { "" } else { "s" }),
-                base.clone().iterations(it),
-            )
-        })
-        .collect()
-}
-
-/// Run each point's campaign through `run`, checking the cancel token
-/// between points. `Interrupted::Cancelled` reports runs completed
-/// across the whole sweep, not just the point that was interrupted.
-fn sweep_points<E>(
-    parameter: &str,
-    configs: Vec<(f64, String, CampaignConfig)>,
-    cancel: Option<&CancelToken>,
-    mut run: impl FnMut(&CampaignConfig) -> Result<CampaignResult, Interrupted<E>>,
-) -> Result<Sweep, Interrupted<E>> {
-    let mut points = Vec::with_capacity(configs.len());
-    let mut done_runs = 0u32;
-    for (x, label, cfg) in configs {
-        check_cancel(cancel, done_runs)?;
-        let r = match run(&cfg) {
-            Ok(r) => r,
-            Err(Interrupted::Cancelled { completed_runs }) => {
-                return Err(Interrupted::Cancelled {
-                    completed_runs: done_runs + completed_runs,
-                })
+impl SweepAxis {
+    /// The default point set of a named sweep kind — what `anacin sweep
+    /// --kind` and the daemon's sweep jobs run: `nd` is 0..=100 % in steps
+    /// of 10, `procs` is `[max(p/2, 2), p, 2p]` around the base process
+    /// count `p`, and `iterations` is `[1, 2, 4]`.
+    pub fn named(kind: &str, base: &CampaignConfig) -> Result<SweepAxis, String> {
+        match kind {
+            "nd" => Ok(SweepAxis::NdPercent(
+                (0..=10).map(|i| i as f64 * 10.0).collect(),
+            )),
+            "procs" => {
+                let p = base.app.procs;
+                Ok(SweepAxis::Procs(vec![(p / 2).max(2), p, p * 2]))
             }
-            Err(e) => return Err(e),
+            "iterations" => Ok(SweepAxis::Iterations(vec![1, 2, 4])),
+            other => Err(format!("unknown sweep kind '{other}'")),
+        }
+    }
+
+    /// Name of the swept parameter, as reported in [`Sweep::parameter`].
+    fn parameter(&self) -> &'static str {
+        match self {
+            SweepAxis::NdPercent(_) => "nd_percent",
+            SweepAxis::Procs(_) => "procs",
+            SweepAxis::Iterations(_) => "iterations",
+        }
+    }
+
+    /// How many points the sweep runs.
+    pub fn point_count(&self) -> usize {
+        match self {
+            SweepAxis::NdPercent(v) => v.len(),
+            SweepAxis::Procs(v) | SweepAxis::Iterations(v) => v.len(),
+        }
+    }
+
+    /// The `(x, label, config)` triple of every point.
+    fn points(&self, base: &CampaignConfig) -> Vec<(f64, String, CampaignConfig)> {
+        match self {
+            SweepAxis::NdPercent(percents) => percents
+                .iter()
+                .map(|&p| (p, format!("nd={p}%"), base.clone().nd_percent(p)))
+                .collect(),
+            SweepAxis::Procs(procs) => procs
+                .iter()
+                .map(|&n| {
+                    let mut cfg = base.clone();
+                    cfg.app.procs = n;
+                    (n as f64, format!("{n} procs"), cfg)
+                })
+                .collect(),
+            SweepAxis::Iterations(iterations) => iterations
+                .iter()
+                .map(|&it| {
+                    let s = if it == 1 { "" } else { "s" };
+                    (
+                        it as f64,
+                        format!("{it} iteration{s}"),
+                        base.clone().iterations(it),
+                    )
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Run one campaign per point of `axis`, each under `ctx` (so a store
+/// policy makes a re-run sweep warm, and a cancellation stops after the
+/// in-flight runs; `Interrupted::Cancelled` counts runs completed across
+/// the whole sweep).
+///
+/// With `ctx.metrics`, each point runs under its own
+/// [`MetricsRegistry::child`], reported in [`Sweep::metrics`] so stage
+/// costs stay attributable per point, while the caller's registry still
+/// sees every instrument live; the aggregate is the caller's registry
+/// after the sweep. A tracer collects every point's runs with ids offset
+/// by the runs of the points before it, so they never collide.
+/// Measurements are bit-identical whatever the context.
+pub fn sweep(
+    base: &CampaignConfig,
+    axis: &SweepAxis,
+    ctx: &RunCtx,
+) -> Result<Sweep, Interrupted<IncrementalError>> {
+    let parameter = axis.parameter();
+    let mut points = Vec::with_capacity(axis.point_count());
+    let mut point_metrics = Vec::new();
+    let mut done_runs = 0u32;
+    for (x, label, cfg) in axis.points(base) {
+        check_cancel(ctx.cancel, done_runs)?;
+        let registry = ctx.metrics.map(MetricsRegistry::child);
+        let point_ctx = RunCtx {
+            metrics: registry.as_ref(),
+            run_base: ctx.run_base + done_runs,
+            ..*ctx
         };
+        let r = campaign(&cfg, &point_ctx).map_err(|e| match e {
+            Interrupted::Cancelled { completed_runs } => Interrupted::Cancelled {
+                completed_runs: done_runs + completed_runs,
+            },
+            e => e,
+        })?;
         done_runs += cfg.runs;
+        if let Some(reg) = registry {
+            point_metrics.push(SweepPointMetrics {
+                parameter: parameter.to_string(),
+                x,
+                label: label.clone(),
+                report: reg.report(),
+            });
+        }
         points.push(SweepPoint {
             x,
             measurement: NdMeasurement::from_campaign(label, &r),
@@ -164,313 +226,23 @@ fn sweep_points<E>(
     Ok(Sweep {
         parameter: parameter.to_string(),
         points,
+        metrics: ctx.metrics.map(|m| SweepMetrics {
+            aggregate: m.report(),
+            points: point_metrics,
+        }),
     })
-}
-
-/// Run one sweep point per `(x, label, config)` triple, giving each point
-/// its own registry so stage costs stay attributable per point. A shared
-/// [`Tracer`] (optionally) collects all points' timelines, with run ids
-/// offset by `point_index * base_runs` so they never collide.
-fn sweep_instrumented_impl(
-    parameter: &str,
-    configs: Vec<(f64, String, CampaignConfig)>,
-    tracer: Option<&Tracer>,
-    cancel: Option<&CancelToken>,
-) -> Result<(Sweep, SweepMetrics), Interrupted<CampaignError>> {
-    let mut points = Vec::with_capacity(configs.len());
-    let mut metric_points = Vec::with_capacity(configs.len());
-    let mut aggregate = MetricsReport::default();
-    let mut run_base = 0u32;
-    let mut done_runs = 0u32;
-    for (x, label, cfg) in configs {
-        check_cancel(cancel, done_runs)?;
-        let reg = MetricsRegistry::new();
-        if let Some(t) = tracer {
-            reg.attach_tracer(t);
-        }
-        let r = match run_campaign_cancellable(&cfg, Some(&reg), tracer, run_base, cancel) {
-            Ok(r) => r,
-            Err(Interrupted::Cancelled { completed_runs }) => {
-                return Err(Interrupted::Cancelled {
-                    completed_runs: done_runs + completed_runs,
-                })
-            }
-            Err(e) => return Err(e),
-        };
-        run_base += cfg.runs;
-        done_runs += cfg.runs;
-        let report = reg.report();
-        aggregate.merge(&report);
-        metric_points.push(SweepPointMetrics {
-            parameter: parameter.to_string(),
-            x,
-            label: label.clone(),
-            report,
-        });
-        points.push(SweepPoint {
-            x,
-            measurement: NdMeasurement::from_campaign(label, &r),
-        });
-    }
-    Ok((
-        Sweep {
-            parameter: parameter.to_string(),
-            points,
-        },
-        SweepMetrics {
-            aggregate,
-            points: metric_points,
-        },
-    ))
-}
-
-/// Sweep the ND percentage (Figure 7: 0..=100 in steps of 10 in the
-/// paper).
-pub fn sweep_nd_percent(base: &CampaignConfig, percents: &[f64]) -> Result<Sweep, CampaignError> {
-    sweep_nd_percent_with_metrics(base, percents, None)
-}
-
-/// [`sweep_nd_percent`], threading an optional metrics registry through
-/// every campaign it runs.
-pub fn sweep_nd_percent_with_metrics(
-    base: &CampaignConfig,
-    percents: &[f64],
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Sweep, CampaignError> {
-    sweep_nd_percent_cancellable(base, percents, metrics, None).map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_nd_percent_with_metrics`] with cooperative cancellation: the
-/// token is checked between points and inside each campaign, so a
-/// SIGINT (CLI) or a `Cancel` frame (daemon) stops after the in-flight
-/// run finishes.
-pub fn sweep_nd_percent_cancellable(
-    base: &CampaignConfig,
-    percents: &[f64],
-    metrics: Option<&MetricsRegistry>,
-    cancel: Option<&CancelToken>,
-) -> Result<Sweep, Interrupted<CampaignError>> {
-    sweep_points("nd_percent", nd_configs(base, percents), cancel, |cfg| {
-        run_campaign_cancellable(cfg, metrics, None, 0, cancel)
-    })
-}
-
-/// [`sweep_nd_percent`], instrumented per point: each point runs under
-/// its own registry (reported in [`SweepMetrics::points`]) and an
-/// optional shared tracer collects every run's timeline with unique run
-/// ids. Measurements are bit-identical to the plain sweep.
-pub fn sweep_nd_percent_instrumented(
-    base: &CampaignConfig,
-    percents: &[f64],
-    tracer: Option<&Tracer>,
-) -> Result<(Sweep, SweepMetrics), CampaignError> {
-    sweep_nd_percent_instrumented_cancellable(base, percents, tracer, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_nd_percent_instrumented`] with cooperative cancellation.
-pub fn sweep_nd_percent_instrumented_cancellable(
-    base: &CampaignConfig,
-    percents: &[f64],
-    tracer: Option<&Tracer>,
-    cancel: Option<&CancelToken>,
-) -> Result<(Sweep, SweepMetrics), Interrupted<CampaignError>> {
-    sweep_instrumented_impl("nd_percent", nd_configs(base, percents), tracer, cancel)
-}
-
-/// [`sweep_nd_percent`] against an artifact store: every campaign in the
-/// sweep runs incrementally ([`run_campaign_incremental_with_metrics`]),
-/// so re-running a sweep — or regenerating a figure from it — reuses every
-/// stored run. Measurements are bit-identical to the plain sweep.
-pub fn sweep_nd_percent_stored(
-    base: &CampaignConfig,
-    percents: &[f64],
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Sweep, IncrementalError> {
-    sweep_nd_percent_stored_cancellable(base, percents, store, metrics, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_nd_percent_stored`] with cooperative cancellation; completed
-/// runs are published before the sweep stops, so it resumes warm.
-pub fn sweep_nd_percent_stored_cancellable(
-    base: &CampaignConfig,
-    percents: &[f64],
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-    cancel: Option<&CancelToken>,
-) -> Result<Sweep, Interrupted<IncrementalError>> {
-    sweep_points("nd_percent", nd_configs(base, percents), cancel, |cfg| {
-        run_campaign_incremental_cancellable(cfg, store, metrics, None, 0, cancel)
-    })
-}
-
-/// Sweep the process count (Figure 5 compares 16 vs 32).
-pub fn sweep_procs(base: &CampaignConfig, procs: &[u32]) -> Result<Sweep, CampaignError> {
-    sweep_procs_with_metrics(base, procs, None)
-}
-
-/// [`sweep_procs`], threading an optional metrics registry through every
-/// campaign it runs.
-pub fn sweep_procs_with_metrics(
-    base: &CampaignConfig,
-    procs: &[u32],
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Sweep, CampaignError> {
-    sweep_procs_cancellable(base, procs, metrics, None).map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_procs_with_metrics`] with cooperative cancellation — see
-/// [`sweep_nd_percent_cancellable`].
-pub fn sweep_procs_cancellable(
-    base: &CampaignConfig,
-    procs: &[u32],
-    metrics: Option<&MetricsRegistry>,
-    cancel: Option<&CancelToken>,
-) -> Result<Sweep, Interrupted<CampaignError>> {
-    sweep_points("procs", procs_configs(base, procs), cancel, |cfg| {
-        run_campaign_cancellable(cfg, metrics, None, 0, cancel)
-    })
-}
-
-/// [`sweep_procs`], instrumented per point — see
-/// [`sweep_nd_percent_instrumented`].
-pub fn sweep_procs_instrumented(
-    base: &CampaignConfig,
-    procs: &[u32],
-    tracer: Option<&Tracer>,
-) -> Result<(Sweep, SweepMetrics), CampaignError> {
-    sweep_procs_instrumented_cancellable(base, procs, tracer, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_procs_instrumented`] with cooperative cancellation.
-pub fn sweep_procs_instrumented_cancellable(
-    base: &CampaignConfig,
-    procs: &[u32],
-    tracer: Option<&Tracer>,
-    cancel: Option<&CancelToken>,
-) -> Result<(Sweep, SweepMetrics), Interrupted<CampaignError>> {
-    sweep_instrumented_impl("procs", procs_configs(base, procs), tracer, cancel)
-}
-
-/// [`sweep_procs`] against an artifact store — see
-/// [`sweep_nd_percent_stored`].
-pub fn sweep_procs_stored(
-    base: &CampaignConfig,
-    procs: &[u32],
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Sweep, IncrementalError> {
-    sweep_procs_stored_cancellable(base, procs, store, metrics, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_procs_stored`] with cooperative cancellation — see
-/// [`sweep_nd_percent_stored_cancellable`].
-pub fn sweep_procs_stored_cancellable(
-    base: &CampaignConfig,
-    procs: &[u32],
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-    cancel: Option<&CancelToken>,
-) -> Result<Sweep, Interrupted<IncrementalError>> {
-    sweep_points("procs", procs_configs(base, procs), cancel, |cfg| {
-        run_campaign_incremental_cancellable(cfg, store, metrics, None, 0, cancel)
-    })
-}
-
-/// Sweep the iteration count (Figure 6 compares 1 vs 2).
-pub fn sweep_iterations(base: &CampaignConfig, iterations: &[u32]) -> Result<Sweep, CampaignError> {
-    sweep_iterations_with_metrics(base, iterations, None)
-}
-
-/// [`sweep_iterations`], threading an optional metrics registry through
-/// every campaign it runs.
-pub fn sweep_iterations_with_metrics(
-    base: &CampaignConfig,
-    iterations: &[u32],
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Sweep, CampaignError> {
-    sweep_iterations_cancellable(base, iterations, metrics, None).map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_iterations_with_metrics`] with cooperative cancellation — see
-/// [`sweep_nd_percent_cancellable`].
-pub fn sweep_iterations_cancellable(
-    base: &CampaignConfig,
-    iterations: &[u32],
-    metrics: Option<&MetricsRegistry>,
-    cancel: Option<&CancelToken>,
-) -> Result<Sweep, Interrupted<CampaignError>> {
-    sweep_points(
-        "iterations",
-        iterations_configs(base, iterations),
-        cancel,
-        |cfg| run_campaign_cancellable(cfg, metrics, None, 0, cancel),
-    )
-}
-
-/// [`sweep_iterations`] against an artifact store — see
-/// [`sweep_nd_percent_stored`].
-pub fn sweep_iterations_stored(
-    base: &CampaignConfig,
-    iterations: &[u32],
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Sweep, IncrementalError> {
-    sweep_iterations_stored_cancellable(base, iterations, store, metrics, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_iterations_stored`] with cooperative cancellation — see
-/// [`sweep_nd_percent_stored_cancellable`].
-pub fn sweep_iterations_stored_cancellable(
-    base: &CampaignConfig,
-    iterations: &[u32],
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-    cancel: Option<&CancelToken>,
-) -> Result<Sweep, Interrupted<IncrementalError>> {
-    sweep_points(
-        "iterations",
-        iterations_configs(base, iterations),
-        cancel,
-        |cfg| run_campaign_incremental_cancellable(cfg, store, metrics, None, 0, cancel),
-    )
-}
-
-/// [`sweep_iterations`], instrumented per point — see
-/// [`sweep_nd_percent_instrumented`].
-pub fn sweep_iterations_instrumented(
-    base: &CampaignConfig,
-    iterations: &[u32],
-    tracer: Option<&Tracer>,
-) -> Result<(Sweep, SweepMetrics), CampaignError> {
-    sweep_iterations_instrumented_cancellable(base, iterations, tracer, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_iterations_instrumented`] with cooperative cancellation.
-pub fn sweep_iterations_instrumented_cancellable(
-    base: &CampaignConfig,
-    iterations: &[u32],
-    tracer: Option<&Tracer>,
-    cancel: Option<&CancelToken>,
-) -> Result<(Sweep, SweepMetrics), Interrupted<CampaignError>> {
-    sweep_instrumented_impl(
-        "iterations",
-        iterations_configs(base, iterations),
-        tracer,
-        cancel,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::StorePolicy;
     use anacin_miniapps::Pattern;
+    use anacin_obs::Tracer;
+
+    fn plain(base: &CampaignConfig, axis: SweepAxis) -> Sweep {
+        sweep(base, &axis, &RunCtx::default()).unwrap()
+    }
 
     fn small_base(pattern: Pattern, procs: u32, runs: u32) -> CampaignConfig {
         CampaignConfig::new(pattern, procs).runs(runs)
@@ -479,7 +251,10 @@ mod tests {
     #[test]
     fn nd_sweep_is_monotone_for_race() {
         let base = small_base(Pattern::MessageRace, 8, 10);
-        let sweep = sweep_nd_percent(&base, &[0.0, 25.0, 50.0, 75.0, 100.0]).unwrap();
+        let sweep = plain(
+            &base,
+            SweepAxis::NdPercent(vec![0.0, 25.0, 50.0, 75.0, 100.0]),
+        );
         assert_eq!(sweep.points.len(), 5);
         // Distance at 0% is exactly zero.
         assert_eq!(sweep.points[0].measurement.mean(), 0.0);
@@ -491,7 +266,7 @@ mod tests {
     #[test]
     fn proc_sweep_increases_distance() {
         let base = small_base(Pattern::UnstructuredMesh, 4, 10);
-        let sweep = sweep_procs(&base, &[4, 16]).unwrap();
+        let sweep = plain(&base, SweepAxis::Procs(vec![4, 16]));
         let series = sweep.mean_series();
         assert!(
             series[1].1 > series[0].1,
@@ -504,7 +279,7 @@ mod tests {
     #[test]
     fn iteration_sweep_increases_distance() {
         let base = small_base(Pattern::UnstructuredMesh, 8, 10);
-        let sweep = sweep_iterations(&base, &[1, 2]).unwrap();
+        let sweep = plain(&base, SweepAxis::Iterations(vec![1, 2]));
         let series = sweep.mean_series();
         assert!(series[1].1 > series[0].1);
         assert_eq!(sweep.points[0].measurement.label, "1 iteration");
@@ -514,7 +289,10 @@ mod tests {
     #[test]
     fn monotone_within_tolerance() {
         let base = small_base(Pattern::MessageRace, 8, 8);
-        let sweep = sweep_nd_percent(&base, &[0.0, 25.0, 50.0, 75.0, 100.0]).unwrap();
+        let sweep = plain(
+            &base,
+            SweepAxis::NdPercent(vec![0.0, 25.0, 50.0, 75.0, 100.0]),
+        );
         assert!(sweep.is_monotone_within(0.05));
         // A strict zero-tolerance check can legitimately fail on plateau
         // noise, but the rising race curve at these points happens to be
@@ -528,12 +306,22 @@ mod tests {
     fn instrumented_sweep_matches_plain_and_reports_per_point() {
         let base = small_base(Pattern::MessageRace, 6, 5);
         let percents = [0.0, 50.0, 100.0];
-        let plain = sweep_nd_percent(&base, &percents).unwrap();
+        let axis = SweepAxis::NdPercent(percents.to_vec());
+        let unobserved = sweep(&base, &axis, &RunCtx::default()).unwrap();
+        assert!(unobserved.metrics.is_none());
         let tracer = Tracer::with_capacity(1 << 16);
-        let (sweep, metrics) =
-            sweep_nd_percent_instrumented(&base, &percents, Some(&tracer)).unwrap();
+        let reg = MetricsRegistry::new();
+        let ctx = RunCtx {
+            metrics: Some(&reg),
+            tracer: Some(&tracer),
+            ..RunCtx::default()
+        };
+        let observed = sweep(&base, &axis, &ctx).unwrap();
         // Instrumentation is bit-exact.
-        assert_eq!(sweep.mean_series(), plain.mean_series());
+        assert_eq!(observed.mean_series(), unobserved.mean_series());
+        let metrics = observed
+            .metrics
+            .expect("a registry yields per-point metrics");
         // One report per point, each covering one campaign.
         assert_eq!(metrics.points.len(), 3);
         for (pm, &p) in metrics.points.iter().zip(&percents) {
@@ -562,7 +350,15 @@ mod tests {
     #[test]
     fn sweep_metrics_round_trip_json() {
         let base = small_base(Pattern::MessageRace, 4, 3);
-        let (_, metrics) = sweep_procs_instrumented(&base, &[4, 6], None).unwrap();
+        let reg = MetricsRegistry::new();
+        let ctx = RunCtx {
+            metrics: Some(&reg),
+            ..RunCtx::default()
+        };
+        let metrics = sweep(&base, &SweepAxis::Procs(vec![4, 6]), &ctx)
+            .unwrap()
+            .metrics
+            .unwrap();
         let json = serde_json::to_string_pretty(&metrics).unwrap();
         let back: SweepMetrics = serde_json::from_str(&json).unwrap();
         assert_eq!(back, metrics);
@@ -575,13 +371,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = anacin_store::ArtifactStore::open(&dir).unwrap();
         let base = small_base(Pattern::MessageRace, 6, 5);
-        let percents = [0.0, 100.0];
-        let plain = sweep_nd_percent(&base, &percents).unwrap();
-        let cold = sweep_nd_percent_stored(&base, &percents, &store, None).unwrap();
-        assert_eq!(cold.mean_series(), plain.mean_series());
+        let axis = SweepAxis::NdPercent(vec![0.0, 100.0]);
+        let unstored = plain(&base, axis.clone());
+        let ctx = RunCtx {
+            store: StorePolicy::Reuse(&store),
+            ..RunCtx::default()
+        };
+        let cold = sweep(&base, &axis, &ctx).unwrap();
+        assert_eq!(cold.mean_series(), unstored.mean_series());
         let puts_after_cold = store.activity().puts;
-        let warm = sweep_nd_percent_stored(&base, &percents, &store, None).unwrap();
-        assert_eq!(warm.mean_series(), plain.mean_series());
+        let warm = sweep(&base, &axis, &ctx).unwrap();
+        assert_eq!(warm.mean_series(), unstored.mean_series());
         // The warm sweep published nothing new.
         assert_eq!(store.activity().puts, puts_after_cold);
         let _ = std::fs::remove_dir_all(dir);
@@ -590,8 +390,34 @@ mod tests {
     #[test]
     fn sweep_series_shapes() {
         let base = small_base(Pattern::MessageRace, 6, 6);
-        let sweep = sweep_nd_percent(&base, &[0.0, 100.0]).unwrap();
+        let sweep = plain(&base, SweepAxis::NdPercent(vec![0.0, 100.0]));
         assert_eq!(sweep.parameter, "nd_percent");
         assert_eq!(sweep.mean_series().len(), 2);
+    }
+
+    #[test]
+    fn named_axes_hold_the_default_point_sets() {
+        let base = small_base(Pattern::MessageRace, 8, 2);
+        let nd = SweepAxis::named("nd", &base).unwrap();
+        assert_eq!(
+            nd,
+            SweepAxis::NdPercent((0..=10).map(|i| i as f64 * 10.0).collect())
+        );
+        assert_eq!(nd.point_count(), 11);
+        assert_eq!(
+            SweepAxis::named("procs", &base).unwrap(),
+            SweepAxis::Procs(vec![4, 8, 16])
+        );
+        let tiny = small_base(Pattern::MessageRace, 2, 2);
+        assert_eq!(
+            SweepAxis::named("procs", &tiny).unwrap(),
+            SweepAxis::Procs(vec![2, 2, 4])
+        );
+        assert_eq!(
+            SweepAxis::named("iterations", &base).unwrap(),
+            SweepAxis::Iterations(vec![1, 2, 4])
+        );
+        let err = SweepAxis::named("bananas", &base).unwrap_err();
+        assert_eq!(err, "unknown sweep kind 'bananas'");
     }
 }

@@ -166,6 +166,11 @@ pub fn use_case_1(cfg: &LessonConfig) -> LessonReport {
     }
 }
 
+/// An unobserved sweep of `base` along `axis`.
+fn plain_sweep(base: &CampaignConfig, axis: SweepAxis) -> Sweep {
+    sweep(base, &axis, &RunCtx::default()).expect("sweep runs")
+}
+
 /// Use Case 2 (intermediate): factors that impact non-determinism.
 ///
 /// Reproduces Figures 5 and 6 with the unstructured-mesh pattern at 100%
@@ -176,7 +181,10 @@ pub fn use_case_2(cfg: &LessonConfig) -> LessonReport {
 
     // Goal B.1 — Figure 5: process scaling.
     let base = CampaignConfig::new(Pattern::UnstructuredMesh, cfg.procs_small).runs(cfg.runs);
-    let sweep = sweep_procs(&base, &[cfg.procs_small, cfg.procs_large]).expect("sweep runs");
+    let sweep = plain_sweep(
+        &base,
+        SweepAxis::Procs(vec![cfg.procs_small, cfg.procs_large]),
+    );
     let vs: Vec<ViolinSummary> = sweep
         .points
         .iter()
@@ -200,7 +208,7 @@ pub fn use_case_2(cfg: &LessonConfig) -> LessonReport {
     ));
 
     // Goal B.2 — Figure 6: iteration scaling on the small process count.
-    let sweep_it = sweep_iterations(&base, &[1, 2]).expect("sweep runs");
+    let sweep_it = plain_sweep(&base, SweepAxis::Iterations(vec![1, 2]));
     let vs_it: Vec<ViolinSummary> = sweep_it
         .points
         .iter()
@@ -242,7 +250,7 @@ pub fn use_case_3(cfg: &LessonConfig) -> LessonReport {
     // Goal C.1 — Figure 7: ND% sweep.
     let base = CampaignConfig::new(Pattern::Amg2013, cfg.procs_small.min(8)).runs(cfg.runs);
     let percents: Vec<f64> = (0..=10).map(|i| i as f64 * 10.0).collect();
-    let sweep = sweep_nd_percent(&base, &percents).expect("sweep runs");
+    let sweep = plain_sweep(&base, SweepAxis::NdPercent(percents));
     narrative.push_str(&format!(
         "Figure 7 — kernel distance vs percentage of non-determinism (AMG 2013):\n{}",
         ascii::series_table(&sweep.mean_series(), "nd %", "kernel distance")

@@ -61,14 +61,11 @@ impl Default for WlKernel {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Independent FNV chains hashed in interleaved lanes during relabelling.
-/// Widened 4 → 8: each chain is a serial xor-multiply dependency, so more
-/// independent chains give the out-of-order core more latency to hide; 8
-/// lanes still fit comfortably in registers. `bench baseline` carries a
-/// 4-vs-8 A/B column (`wl_lanes4_ms`/`wl_lanes8_ms`), and
-/// [`WlKernel::features_with_lanes`] is the harness surface for it. Lane
-/// count cannot change a bit of any label: lanes only interleave
-/// *independent* chains, each folding its node's exact historical byte
-/// sequence.
+/// Each chain is a serial xor-multiply dependency, so independent chains
+/// give the out-of-order core latency to hide; 8 lanes still fit
+/// comfortably in registers. Lane count cannot change a bit of any label:
+/// lanes only interleave *independent* chains, each folding its node's
+/// exact historical byte sequence.
 const LANES: usize = 8;
 
 /// Nodes per relabelling shard. Bounds the gather buffer at one shard's
@@ -90,24 +87,22 @@ fn absorb_word(mut h: u64, w: u64) -> u64 {
     h
 }
 
-/// Phase 2 of a relabelling shard: hash `L` nodes' word streams as
+/// Phase 2 of a relabelling shard: hash [`LANES`] nodes' word streams as
 /// interleaved independent FNV chains, writing digests into `out` (one
 /// slot per node in the shard). Returns the number of nodes hashed — the
-/// largest multiple of `L` not exceeding the shard's node count; the
-/// caller hashes the remaining tail serially. Monomorphised per lane
-/// width so the state array lives in registers at both the production
-/// width and the bench A/B width.
-fn hash_interleaved<const L: usize>(words: &[u64], word_ends: &[u32], out: &mut [u64]) -> usize {
+/// largest multiple of [`LANES`] not exceeding the shard's node count;
+/// the caller hashes the remaining tail serially.
+fn hash_interleaved(words: &[u64], word_ends: &[u32], out: &mut [u64]) -> usize {
     let n = word_ends.len();
     let range = |i: usize| -> (usize, usize) {
         let s = if i == 0 { 0 } else { word_ends[i - 1] as usize };
         (s, word_ends[i] as usize)
     };
     let mut node = 0usize;
-    while node + L <= n {
-        let mut starts = [0usize; L];
-        let mut lens = [0usize; L];
-        let mut states = [FNV_OFFSET; L];
+    while node + LANES <= n {
+        let mut starts = [0usize; LANES];
+        let mut lens = [0usize; LANES];
+        let mut states = [FNV_OFFSET; LANES];
         let mut max_len = 0usize;
         for (l, (start, len)) in starts.iter_mut().zip(lens.iter_mut()).enumerate() {
             let (s, e) = range(node + l);
@@ -116,14 +111,14 @@ fn hash_interleaved<const L: usize>(words: &[u64], word_ends: &[u32], out: &mut 
             max_len = max_len.max(e - s);
         }
         for pos in 0..max_len {
-            for l in 0..L {
+            for l in 0..LANES {
                 if pos < lens[l] {
                     states[l] = absorb_word(states[l], words[starts[l] + pos]);
                 }
             }
         }
-        out[node..node + L].copy_from_slice(&states);
-        node += L;
+        out[node..node + LANES].copy_from_slice(&states);
+        node += LANES;
     }
     node
 }
@@ -210,10 +205,10 @@ impl LabelInterner {
 
     /// One relabelling round over dense labels, writing the next round's
     /// raw labels into `self.raw`, processed `shard` nodes at a time with
-    /// `lanes` interleaved hash chains. The hashed word sequence per node
-    /// is exactly the historical `[own, MAX, sorted in, MAX−1, sorted
+    /// [`LANES`] interleaved hash chains. The hashed word sequence per
+    /// node is exactly the historical `[own, MAX, sorted in, MAX−1, sorted
     /// out]`, so the output labels are bit-identical to the uninterned
-    /// path at any shard size or lane width.
+    /// path at any shard size.
     ///
     /// Each shard runs two phases: flatten the shard's word streams into
     /// the arena buffer, then hash several nodes' streams as independent
@@ -226,18 +221,11 @@ impl LabelInterner {
     /// at multi-million-node scale — and cannot change any label: every
     /// node's word stream is byte-identical regardless of which shard
     /// gathers it.
-    fn relabel_sharded_lanes(
-        &mut self,
-        g: &EventGraph,
-        edge_sensitive: bool,
-        shard: usize,
-        lanes: usize,
-    ) {
+    fn relabel_sharded(&mut self, g: &EventGraph, edge_sensitive: bool, shard: usize) {
         assert!(
-            shard > 0 && shard.is_multiple_of(lanes),
+            shard > 0 && shard.is_multiple_of(LANES),
             "shard must be a multiple of the lane width"
         );
-        assert!(lanes == 4 || lanes == 8, "lane width must be 4 or 8");
         self.contrib_program.clear();
         self.contrib_message.clear();
         if edge_sensitive {
@@ -285,13 +273,10 @@ impl LabelInterner {
                 words[s..].sort_unstable();
                 word_ends.push(words.len() as u32);
             }
-            // Phase 2: hash `lanes` nodes at a time, then the tail serially.
+            // Phase 2: hash `LANES` nodes at a time, then the tail serially.
             let n = word_ends.len();
             let out = &mut self.raw[shard_start..shard_start + n];
-            let mut node = match lanes {
-                4 => hash_interleaved::<4>(words, word_ends, out),
-                _ => hash_interleaved::<8>(words, word_ends, out),
-            };
+            let mut node = hash_interleaved(words, word_ends, out);
             while node < n {
                 let s = if node == 0 {
                     0
@@ -323,58 +308,16 @@ impl WlKernel {
     /// Drive the interned refinement, invoking `visit(round, table, dense)`
     /// once per round (round 0 = initial labels). `table[dense[v]]` is node
     /// `v`'s canonical `u64` label for that round.
-    fn for_each_round(&self, g: &EventGraph, visit: impl FnMut(usize, &[u64], &[u32])) {
-        self.for_each_round_lanes(g, LANES, visit);
-    }
-
-    fn for_each_round_lanes(
-        &self,
-        g: &EventGraph,
-        lanes: usize,
-        mut visit: impl FnMut(usize, &[u64], &[u32]),
-    ) {
+    fn for_each_round(&self, g: &EventGraph, mut visit: impl FnMut(usize, &[u64], &[u32])) {
         let mut arena = LabelInterner::new(g.node_count());
         arena.raw = initial_labels(g, self.policy);
         arena.intern();
         visit(0, &arena.table, &arena.dense);
         for round in 1..=self.iterations {
-            arena.relabel_sharded_lanes(g, self.edge_sensitive, SHARD_NODES, lanes);
+            arena.relabel_sharded(g, self.edge_sensitive, SHARD_NODES);
             arena.intern();
             visit(round as usize, &arena.table, &arena.dense);
         }
-    }
-
-    /// [`GraphKernel::features`] with an explicit interleave width (4 or
-    /// 8): the `bench baseline` A/B surface for the lane-width column.
-    /// The production path always uses [`LANES`]; the output is
-    /// bit-identical at either width, because lanes only interleave
-    /// independent per-node FNV chains.
-    #[doc(hidden)]
-    pub fn features_with_lanes(&self, g: &EventGraph, lanes: usize) -> SparseFeatures {
-        let mut pairs: Vec<(u64, f64)> = Vec::new();
-        let mut counts: Vec<u64> = Vec::new();
-        self.for_each_round_lanes(g, lanes, |round, table, dense| {
-            // One histogram entry per *distinct* label, not per node: adding
-            // the count `c` once equals adding 1.0 `c` times exactly
-            // (integer f64 arithmetic below 2^53), and the canonical `u64`
-            // feature key is expanded from the table only here.
-            counts.clear();
-            counts.resize(table.len(), 0);
-            for &d in dense {
-                counts[d as usize] += 1;
-            }
-            for (d, &c) in counts.iter().enumerate() {
-                // Salt the label with the round index so the same hash at
-                // different rounds is a different feature (standard WL).
-                pairs.push((fnv1a_words(&[round as u64, table[d]]), c as f64));
-            }
-        });
-        // Bulk build: one sort over all rounds' (key, count) pairs instead
-        // of a map insert per key — the keys are hashes, so insertion order
-        // is random and per-key inserts would miss cache on nearly all of
-        // them. Counts are exact integers, so duplicate keys (cross-round
-        // hash collisions) may sum in any order without changing a bit.
-        SparseFeatures::from_commutative_pairs(pairs)
     }
 
     /// The label sequence over all rounds (round 0 = initial labels).
@@ -400,7 +343,30 @@ impl GraphKernel for WlKernel {
     }
 
     fn features(&self, g: &EventGraph) -> SparseFeatures {
-        self.features_with_lanes(g, LANES)
+        let mut pairs: Vec<(u64, f64)> = Vec::new();
+        let mut counts: Vec<u64> = Vec::new();
+        self.for_each_round(g, |round, table, dense| {
+            // One histogram entry per *distinct* label, not per node: adding
+            // the count `c` once equals adding 1.0 `c` times exactly
+            // (integer f64 arithmetic below 2^53), and the canonical `u64`
+            // feature key is expanded from the table only here.
+            counts.clear();
+            counts.resize(table.len(), 0);
+            for &d in dense {
+                counts[d as usize] += 1;
+            }
+            for (d, &c) in counts.iter().enumerate() {
+                // Salt the label with the round index so the same hash at
+                // different rounds is a different feature (standard WL).
+                pairs.push((fnv1a_words(&[round as u64, table[d]]), c as f64));
+            }
+        });
+        // Bulk build: one sort over all rounds' (key, count) pairs instead
+        // of a map insert per key — the keys are hashes, so insertion order
+        // is random and per-key inserts would miss cache on nearly all of
+        // them. Counts are exact integers, so duplicate keys (cross-round
+        // hash collisions) may sum in any order without changing a bit.
+        SparseFeatures::from_commutative_pairs(pairs)
     }
 }
 
@@ -498,39 +464,15 @@ mod tests {
             let init = initial_labels(&g, LabelPolicy::TypeAndPeer);
             let legacy1 = relabel_legacy(&g, &init, edge_sensitive);
             let legacy2 = relabel_legacy(&g, &legacy1, edge_sensitive);
-            for lanes in [4, 8] {
-                for shard in [8, 16, 64, SHARD_NODES] {
-                    let mut arena = LabelInterner::new(g.node_count());
-                    arena.raw = init.clone();
-                    arena.intern();
-                    arena.relabel_sharded_lanes(&g, edge_sensitive, shard, lanes);
-                    assert_eq!(arena.raw, legacy1, "round 1, shard={shard}, lanes={lanes}");
-                    arena.intern();
-                    arena.relabel_sharded_lanes(&g, edge_sensitive, shard, lanes);
-                    assert_eq!(arena.raw, legacy2, "round 2, shard={shard}, lanes={lanes}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_width_never_changes_features() {
-        // The bench A/B surface must be measuring the same computation:
-        // 4-lane and 8-lane extraction agree bit-for-bit with each other,
-        // with the production path, and with the legacy oracle.
-        for seed in 0..4 {
-            let g = race_graph(7, 100.0, seed);
-            for edge_sensitive in [false, true] {
-                let k = WlKernel {
-                    iterations: 3,
-                    policy: LabelPolicy::TypeAndPeer,
-                    edge_sensitive,
-                };
-                let four = k.features_with_lanes(&g, 4);
-                let eight = k.features_with_lanes(&g, 8);
-                assert_eq!(four, eight, "edges={edge_sensitive} seed={seed}");
-                assert_eq!(eight, k.features(&g));
-                assert_eq!(eight, features_legacy(&k, &g));
+            for shard in [8, 16, 64, SHARD_NODES] {
+                let mut arena = LabelInterner::new(g.node_count());
+                arena.raw = init.clone();
+                arena.intern();
+                arena.relabel_sharded(&g, edge_sensitive, shard);
+                assert_eq!(arena.raw, legacy1, "round 1, shard={shard}");
+                arena.intern();
+                arena.relabel_sharded(&g, edge_sensitive, shard);
+                assert_eq!(arena.raw, legacy2, "round 2, shard={shard}");
             }
         }
     }

@@ -13,9 +13,10 @@
 //! Three instrument families:
 //!
 //! * **Counters** ([`Counter`]) — monotonic `u64` totals ("events
-//!   executed", "dot products"). Handles are `Arc<AtomicU64>` clones, so
-//!   incrementing is one relaxed atomic add; registry lookup happens once
-//!   at handle creation, not per increment.
+//!   executed", "dot products"). Handles share an `Arc<AtomicU64>`, so
+//!   incrementing is one relaxed atomic add (two under a
+//!   [`MetricsRegistry::child`]); registry lookup happens once at handle
+//!   creation, not per increment.
 //! * **Gauges** — last-write-wins `f64` values ("effective thread count").
 //! * **Spans** ([`Span`]) — scoped wall-time timers with nesting: a span
 //!   started while another span is active *on the same thread* records
@@ -91,6 +92,8 @@ struct Inner {
     gauges: Mutex<BTreeMap<String, f64>>,
     spans: Mutex<BTreeMap<String, SpanAccum>>,
     tracer: Mutex<Option<Tracer>>,
+    /// Set on a [`MetricsRegistry::child`]: every instrument also feeds it.
+    parent: Option<MetricsRegistry>,
 }
 
 /// A shared, thread-safe metrics registry.
@@ -108,6 +111,20 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// A fresh registry whose counters, gauges and spans also feed
+    /// `self`, and which emits onto `self`'s tracer unless it has its
+    /// own. Its report holds only what was recorded through it, while
+    /// `self` keeps seeing everything live — one sweep point's breakdown
+    /// without hiding the point's progress from the sweep's registry.
+    pub fn child(&self) -> Self {
+        MetricsRegistry {
+            inner: Arc::new(Inner {
+                parent: Some(self.clone()),
+                ..Inner::default()
+            }),
+        }
+    }
+
     /// The counter registered under `name`, creating it at zero on first
     /// use. Hold the returned handle in hot loops: increments on the
     /// handle are a single relaxed atomic add with no lock.
@@ -116,13 +133,24 @@ impl MetricsRegistry {
         let cell = map
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(AtomicU64::new(0)));
-        Counter(Arc::clone(cell))
+        Counter {
+            cell: Arc::clone(cell),
+            parent: self
+                .inner
+                .parent
+                .as_ref()
+                .map(|p| Box::new(p.counter(name))),
+        }
     }
 
     /// Set the gauge `name` to `value` (last write wins).
     pub fn set_gauge(&self, name: &str, value: f64) {
         let mut map = self.inner.gauges.lock().expect("gauge map poisoned");
         map.insert(name.to_string(), value);
+        drop(map);
+        if let Some(p) = &self.inner.parent {
+            p.set_gauge(name, value);
+        }
     }
 
     /// Start a scoped wall-time span. The span records on drop; while it
@@ -163,13 +191,16 @@ impl MetricsRegistry {
         *self.inner.tracer.lock().expect("tracer slot poisoned") = Some(tracer.clone());
     }
 
-    /// The currently attached tracer, if any.
+    /// The currently attached tracer, if any (a child falls back to its
+    /// parent's).
     pub fn tracer(&self) -> Option<Tracer> {
-        self.inner
+        let own = self
+            .inner
             .tracer
             .lock()
             .expect("tracer slot poisoned")
-            .clone()
+            .clone();
+        own.or_else(|| self.inner.parent.as_ref().and_then(|p| p.tracer()))
     }
 
     /// Record one observation of `elapsed_ns` under the span `path`
@@ -187,6 +218,10 @@ impl MetricsRegistry {
         acc.count += 1;
         acc.total_ns += elapsed_ns;
         acc.hist.record(elapsed_ns);
+        drop(map);
+        if let Some(p) = &self.inner.parent {
+            p.record_span(path, elapsed_ns);
+        }
     }
 
     /// Snapshot every instrument into a serialisable report. Entries are
@@ -251,7 +286,11 @@ impl MetricsRegistry {
 
 /// A monotonic counter handle (cheap to clone; increments are lock-free).
 #[derive(Clone)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter {
+    cell: Arc<AtomicU64>,
+    /// The same-named counter of the registry's parent, if any.
+    parent: Option<Box<Counter>>,
+}
 
 impl Counter {
     /// Add one.
@@ -263,12 +302,15 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.cell.fetch_add(n, Ordering::Relaxed);
+        if let Some(p) = &self.parent {
+            p.add(n);
+        }
     }
 
     /// The current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -476,6 +518,29 @@ mod tests {
             }
         });
         assert_eq!(m.report().counter("work/items"), Some(4000));
+    }
+
+    #[test]
+    fn child_reports_its_own_share_and_feeds_the_parent_live() {
+        let parent = MetricsRegistry::new();
+        parent.counter("runs").add(2);
+        let tracer = Tracer::new();
+        parent.attach_tracer(&tracer);
+        let child = parent.child();
+        let runs = child.counter("runs");
+        runs.add(3);
+        assert_eq!(parent.report().counter("runs"), Some(5), "live in parent");
+        child.set_gauge("threads", 4.0);
+        drop(child.span("stage"));
+        let own = child.report();
+        assert_eq!(own.counter("runs"), Some(3));
+        assert_eq!(own.gauge("threads"), Some(4.0));
+        assert_eq!(own.span("stage").map(|s| s.count), Some(1));
+        let all = parent.report();
+        assert_eq!(all.gauge("threads"), Some(4.0));
+        assert_eq!(all.span("stage").map(|s| s.count), Some(1));
+        assert!(child.tracer().is_some(), "child inherits the tracer");
+        assert_eq!(tracer.snapshot().spans.len(), 2, "one begin/end pair");
     }
 
     #[test]

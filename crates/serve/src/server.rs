@@ -619,8 +619,9 @@ fn attribute_sharing(shared: &Shared, spec: &JobSpec, client: u64, hits: u64) {
     }
 }
 
-/// Run the job body. Every path opens its own handle on the shared
-/// store root and mirrors store activity into the job registry.
+/// Run the job body. Every job opens its own handle on the shared store
+/// root, mirrors store activity into the job registry, and runs under one
+/// [`RunCtx`] carrying that registry, the job's cancel token and the store.
 fn run_spec(
     shared: &Shared,
     spec: &JobSpec,
@@ -632,76 +633,58 @@ fn run_spec(
         Err(e) => return JobOutcome::Failed(format!("store unavailable: {e}")),
     };
     store.attach_metrics(reg);
-    let payload = match spec {
-        JobSpec::Campaign { config } => {
-            match run_campaign_incremental_cancellable(
-                config,
-                &store,
-                Some(reg),
-                None,
-                0,
-                Some(cancel),
-            ) {
-                Ok(result) => match measurement_json(config, &result.matrix) {
-                    Ok(json) => format!("{json}\n"),
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                },
-                Err(Interrupted::Cancelled { .. }) => return JobOutcome::Cancelled,
-                Err(Interrupted::Failed(e)) => return JobOutcome::Failed(e.to_string()),
+    // An append job differs from a campaign only in its kernel stage
+    // (stored-prefix reuse), and append-then-read is byte-identical to a
+    // cold recompute, so its result payload is too.
+    let policy = match spec {
+        JobSpec::Append { .. } => StorePolicy::Append(&store),
+        _ => StorePolicy::Reuse(&store),
+    };
+    let ctx = RunCtx {
+        metrics: Some(reg),
+        cancel: Some(cancel),
+        store: policy,
+        ..RunCtx::default()
+    };
+    match job_payload(spec, &ctx) {
+        Ok(payload) => {
+            let activity = store.activity();
+            JobOutcome::Done {
+                payload,
+                hits: activity.hits,
+                misses: activity.misses,
+                puts: activity.puts,
             }
         }
-        JobSpec::Append { config } => {
-            // Same payload shape as `Campaign`; only the kernel stage
-            // differs (stored-prefix reuse), and append-then-read is
-            // byte-identical to a cold recompute, so the result payload
-            // is too.
-            match run_campaign_append_cancellable(config, &store, Some(reg), None, 0, Some(cancel))
-            {
-                Ok(result) => match measurement_json(config, &result.matrix) {
-                    Ok(json) => format!("{json}\n"),
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                },
-                Err(Interrupted::Cancelled { .. }) => return JobOutcome::Cancelled,
-                Err(Interrupted::Failed(e)) => return JobOutcome::Failed(e.to_string()),
-            }
+        Err(outcome) => outcome,
+    }
+}
+
+impl From<Interrupted<IncrementalError>> for JobOutcome {
+    fn from(e: Interrupted<IncrementalError>) -> Self {
+        match e {
+            Interrupted::Cancelled { .. } => JobOutcome::Cancelled,
+            Interrupted::Failed(e) => JobOutcome::Failed(e.to_string()),
+        }
+    }
+}
+
+/// The result payload of one job: byte-identical to the local command's
+/// stdout for the same job.
+fn job_payload(spec: &JobSpec, ctx: &RunCtx) -> Result<String, JobOutcome> {
+    let json_line = |json: Result<String, serde_json::Error>| match json {
+        Ok(json) => Ok(format!("{json}\n")),
+        Err(e) => Err(JobOutcome::Failed(e.to_string())),
+    };
+    match spec {
+        JobSpec::Campaign { config } | JobSpec::Append { config } => {
+            let result = campaign(config, ctx)?;
+            json_line(measurement_json(config, &result.matrix))
         }
         JobSpec::Sweep { kind, config } => {
             // The same default point sets as `anacin sweep --kind`.
-            let swept = match kind.as_str() {
-                "nd" => {
-                    let percents: Vec<f64> = (0..=10).map(|i| i as f64 * 10.0).collect();
-                    sweep_nd_percent_stored_cancellable(
-                        config,
-                        &percents,
-                        &store,
-                        Some(reg),
-                        Some(cancel),
-                    )
-                }
-                "procs" => {
-                    let p = config.app.procs;
-                    sweep_procs_stored_cancellable(
-                        config,
-                        &[(p / 2).max(2), p, p * 2],
-                        &store,
-                        Some(reg),
-                        Some(cancel),
-                    )
-                }
-                "iterations" => sweep_iterations_stored_cancellable(
-                    config,
-                    &[1, 2, 4],
-                    &store,
-                    Some(reg),
-                    Some(cancel),
-                ),
-                other => return JobOutcome::Failed(format!("unknown sweep kind '{other}'")),
-            };
-            match swept {
-                Ok(sweep) => sweep_text(&sweep),
-                Err(Interrupted::Cancelled { .. }) => return JobOutcome::Cancelled,
-                Err(Interrupted::Failed(e)) => return JobOutcome::Failed(e.to_string()),
-            }
+            let axis = SweepAxis::named(kind, config).map_err(JobOutcome::Failed)?;
+            Ok(sweep_text(&sweep(config, &axis, ctx)?))
         }
         JobSpec::Explore {
             config,
@@ -712,47 +695,19 @@ fn run_spec(
             if *brute_force {
                 xcfg = xcfg.brute_force();
             }
-            let result = match run_campaign_incremental_cancellable(
-                config,
-                &store,
-                Some(reg),
-                None,
-                0,
-                Some(cancel),
-            ) {
-                Ok(r) => r,
-                Err(Interrupted::Cancelled { .. }) => return JobOutcome::Cancelled,
-                Err(Interrupted::Failed(e)) => return JobOutcome::Failed(e.to_string()),
-            };
-            if cancel.is_cancelled() {
-                return JobOutcome::Cancelled;
-            }
-            let xr = match explore_campaign_incremental_observed(config, &xcfg, &store, Some(reg)) {
-                Ok(x) => x,
-                Err(e) => return JobOutcome::Failed(e.to_string()),
-            };
+            let result = campaign(config, ctx)?;
+            let xr = explore_campaign(config, &xcfg, ctx)?;
             let coverage = xr.coverage_of(&result);
             let m = NdMeasurement::from_campaign(campaign_label(config), &result);
-            let report = RunWithExploreReport {
+            json_line(to_json(&RunWithExploreReport {
                 measurement: MeasurementReport::from(&m),
                 explore: ExploreSection {
                     config: xcfg,
                     stats: xr.report.stats,
                     coverage,
                 },
-            };
-            match to_json(&report) {
-                Ok(json) => format!("{json}\n"),
-                Err(e) => return JobOutcome::Failed(e.to_string()),
-            }
+            }))
         }
-    };
-    let activity = store.activity();
-    JobOutcome::Done {
-        payload,
-        hits: activity.hits,
-        misses: activity.misses,
-        puts: activity.puts,
     }
 }
 

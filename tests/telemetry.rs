@@ -11,6 +11,15 @@
 use anacin_obs::{hist, ChromeJsonSink, FoldedSink, MetricsRegistry, SharedBuffer, Tracer};
 use anacin_x::prelude::*;
 
+/// A context recording into `reg` and, optionally, `tracer`.
+fn observed<'a>(reg: &'a MetricsRegistry, tracer: Option<&'a Tracer>) -> RunCtx<'a> {
+    RunCtx {
+        metrics: Some(reg),
+        tracer,
+        ..RunCtx::default()
+    }
+}
+
 /// A canonical multiset of a Chrome export's lines: trailing commas
 /// stripped (position in the array is formatting, not content), then
 /// sorted. Streamed and snapshot exports emit metadata at different
@@ -37,7 +46,7 @@ fn streamed_campaign(pattern: Pattern, procs: u32, runs: u32) -> (String, Tracer
     let buf = SharedBuffer::new();
     let sink = ChromeJsonSink::new(buf.clone(), true).expect("sink header");
     tracer.attach_sink(Box::new(sink));
-    run_campaign_streaming_observed(&cfg, Some(&reg), Some(&tracer), 0).expect("campaign");
+    campaign_streaming(&cfg, &observed(&reg, Some(&tracer))).expect("campaign");
     let stats = tracer.finish_sink().expect("finish sink");
     assert_eq!(stats.lost, 0, "{pattern}: ring overflowed during test");
     assert_eq!(stats.pending, 0, "{pattern}: finish left records behind");
@@ -65,7 +74,7 @@ fn streamed_folded_export_is_byte_identical_to_snapshot() {
     reg.attach_tracer(&tracer);
     let buf = SharedBuffer::new();
     tracer.attach_sink(Box::new(FoldedSink::new(buf.clone())));
-    run_campaign_streaming_observed(&cfg, Some(&reg), Some(&tracer), 0).expect("campaign");
+    campaign_streaming(&cfg, &observed(&reg, Some(&tracer))).expect("campaign");
     tracer.finish_sink().expect("finish sink");
     // Folded output is derived entirely from span marks at finish time,
     // so it is byte-identical, not merely canonically equal.
@@ -89,7 +98,7 @@ fn streamed_export_conserves_sim_event_count() {
 fn span_histograms_are_ordered_bounded_and_conserve_counts() {
     let cfg = CampaignConfig::new(Pattern::MessageRace, 8).runs(6);
     let reg = MetricsRegistry::new();
-    run_campaign_streaming_observed(&cfg, Some(&reg), None, 0).expect("campaign");
+    campaign_streaming(&cfg, &observed(&reg, None)).expect("campaign");
     let report = reg.report();
     assert!(!report.spans.is_empty(), "campaign produced no spans");
     for span in &report.spans {
@@ -128,8 +137,8 @@ fn span_histograms_are_ordered_bounded_and_conserve_counts() {
 fn merged_report_percentiles_come_from_merged_histograms() {
     let cfg = CampaignConfig::new(Pattern::MessageRace, 8).runs(4);
     let (a, b) = (MetricsRegistry::new(), MetricsRegistry::new());
-    run_campaign_streaming_observed(&cfg, Some(&a), None, 0).expect("campaign a");
-    run_campaign_streaming_observed(&cfg, Some(&b), None, 0).expect("campaign b");
+    campaign_streaming(&cfg, &observed(&a, None)).expect("campaign a");
+    campaign_streaming(&cfg, &observed(&b, None)).expect("campaign b");
     let (ra, rb) = (a.report(), b.report());
     let mut merged = ra.clone();
     merged.merge(&rb);

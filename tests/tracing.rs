@@ -8,8 +8,18 @@
 use anacin_obs::{MetricsRegistry, SimEventKind, Tracer};
 use anacin_x::prelude::*;
 
-fn campaign(pattern: Pattern, procs: u32, runs: u32) -> CampaignConfig {
+fn config(pattern: Pattern, procs: u32, runs: u32) -> CampaignConfig {
     CampaignConfig::new(pattern, procs).runs(runs)
+}
+
+/// A context recording simulated time into `tracer` (and, optionally,
+/// stage metrics into `metrics`).
+fn traced<'a>(metrics: Option<&'a MetricsRegistry>, tracer: &'a Tracer) -> RunCtx<'a> {
+    RunCtx {
+        metrics,
+        tracer: Some(tracer),
+        ..RunCtx::default()
+    }
 }
 
 /// Serialise traces for bit-identity comparison (Trace has no PartialEq;
@@ -28,13 +38,12 @@ fn traced_campaign_is_bit_identical_to_untraced() {
         Pattern::Amg2013,
         Pattern::UnstructuredMesh,
     ] {
-        let cfg = campaign(pattern, 8, 6);
+        let cfg = config(pattern, 8, 6);
         let plain = run_campaign(&cfg).expect("plain campaign");
         let reg = MetricsRegistry::new();
         let tracer = Tracer::new();
         reg.attach_tracer(&tracer);
-        let traced =
-            run_campaign_observed(&cfg, Some(&reg), Some(&tracer), 0).expect("traced campaign");
+        let traced = campaign(&cfg, &traced(Some(&reg), &tracer)).expect("traced campaign");
         // Bit-identical artifacts: every trace byte-for-byte, every kernel
         // distance exactly equal.
         assert_eq!(
@@ -55,12 +64,12 @@ fn traced_campaign_is_bit_identical_to_untraced() {
 
 #[test]
 fn sim_trace_export_is_byte_identical_across_worker_thread_counts() {
-    let mut cfg = campaign(Pattern::MessageRace, 8, 8);
+    let mut cfg = config(Pattern::MessageRace, 8, 8);
     let mut exports = Vec::new();
     for threads in [1usize, 2, 8] {
         cfg.threads = threads;
         let tracer = Tracer::new();
-        run_campaign_observed(&cfg, None, Some(&tracer), 0).expect("campaign");
+        campaign(&cfg, &traced(None, &tracer)).expect("campaign");
         // Wall-clock spans depend on real time; the simulated-time export
         // must not.
         exports.push(tracer.snapshot().chrome_trace(false));
@@ -79,9 +88,9 @@ fn traced_event_counts_match_event_graph_node_counts() {
         Pattern::Amg2013,
         Pattern::UnstructuredMesh,
     ] {
-        let cfg = campaign(pattern, 6, 5);
+        let cfg = config(pattern, 6, 5);
         let tracer = Tracer::new();
-        let result = run_campaign_observed(&cfg, None, Some(&tracer), 0).expect("campaign");
+        let result = campaign(&cfg, &traced(None, &tracer)).expect("campaign");
         let per_run = tracer.snapshot().sim_events_per_run();
         assert_eq!(per_run.len(), result.graphs.len(), "{pattern}");
         for (run, count) in per_run {
@@ -102,9 +111,9 @@ fn traced_event_counts_match_event_graph_node_counts() {
 #[test]
 fn chrome_export_has_one_track_per_rank_with_monotone_timestamps() {
     let procs = 6u32;
-    let cfg = campaign(Pattern::MessageRace, procs, 3);
+    let cfg = config(Pattern::MessageRace, procs, 3);
     let tracer = Tracer::new();
-    run_campaign_observed(&cfg, None, Some(&tracer), 0).expect("campaign");
+    campaign(&cfg, &traced(None, &tracer)).expect("campaign");
     let snap = tracer.snapshot();
     for run in 0..3u32 {
         let mut ranks: Vec<u32> = snap
@@ -144,9 +153,9 @@ fn chrome_export_has_one_track_per_rank_with_monotone_timestamps() {
 
 #[test]
 fn matched_messages_share_flow_ids_between_send_and_recv() {
-    let cfg = campaign(Pattern::MessageRace, 6, 2);
+    let cfg = config(Pattern::MessageRace, 6, 2);
     let tracer = Tracer::new();
-    let result = run_campaign_observed(&cfg, None, Some(&tracer), 0).expect("campaign");
+    let result = campaign(&cfg, &traced(None, &tracer)).expect("campaign");
     let snap = tracer.snapshot();
     for run in 0..2u32 {
         let mut sends: Vec<u64> = snap
@@ -182,9 +191,9 @@ fn matched_messages_share_flow_ids_between_send_and_recv() {
 
 #[test]
 fn ring_overflow_on_a_real_campaign_keeps_newest_and_counts_drops() {
-    let cfg = campaign(Pattern::Amg2013, 8, 4);
+    let cfg = config(Pattern::Amg2013, 8, 4);
     let tracer = Tracer::with_capacity(64);
-    run_campaign_observed(&cfg, None, Some(&tracer), 0).expect("campaign");
+    campaign(&cfg, &traced(None, &tracer)).expect("campaign");
     let snap = tracer.snapshot();
     assert!(snap.recorded > 64, "campaign must overflow the tiny ring");
     assert!(snap.dropped > 0);
@@ -198,12 +207,42 @@ fn ring_overflow_on_a_real_campaign_keeps_newest_and_counts_drops() {
 }
 
 #[test]
+fn ring_snapshot_is_identical_at_every_thread_count_materialised_or_streamed() {
+    // Runs are recorded in run-index order whatever the worker count, so
+    // even a ring that overflows many times over keeps the same records.
+    let mut cfg = config(Pattern::Amg2013, 8, 4);
+    let mut snapshots = Vec::new();
+    for streamed in [false, true] {
+        for threads in [1usize, 2, 8] {
+            cfg.threads = threads;
+            let tracer = Tracer::with_capacity(64);
+            if streamed {
+                campaign_streaming(&cfg, &traced(None, &tracer)).expect("streamed campaign");
+            } else {
+                campaign(&cfg, &traced(None, &tracer)).expect("campaign");
+            }
+            let snap = tracer.snapshot();
+            assert!(snap.dropped > 0, "the ring must overflow");
+            snapshots.push(((streamed, threads), snap.sim, snap.recorded, snap.dropped));
+        }
+    }
+    let (_, sim, recorded, dropped) = &snapshots[0];
+    for (at, s, r, d) in &snapshots[1..] {
+        assert_eq!(
+            (s, r, d),
+            (sim, recorded, dropped),
+            "(streamed, threads) = {at:?}"
+        );
+    }
+}
+
+#[test]
 fn folded_stacks_cover_the_pipeline_stages() {
-    let cfg = campaign(Pattern::MessageRace, 6, 4);
+    let cfg = config(Pattern::MessageRace, 6, 4);
     let reg = MetricsRegistry::new();
     let tracer = Tracer::new();
     reg.attach_tracer(&tracer);
-    run_campaign_observed(&cfg, Some(&reg), Some(&tracer), 0).expect("campaign");
+    campaign(&cfg, &traced(Some(&reg), &tracer)).expect("campaign");
     let folded = tracer.snapshot().folded_stacks();
     assert!(folded.contains("campaign"), "{folded}");
     for line in folded.lines() {
@@ -215,12 +254,18 @@ fn folded_stacks_cover_the_pipeline_stages() {
 
 #[test]
 fn per_point_sweep_metrics_are_bit_exact_and_cover_every_point() {
-    let base = campaign(Pattern::MessageRace, 6, 4);
+    let base = config(Pattern::MessageRace, 6, 4);
     let percents = [0.0, 50.0, 100.0];
-    let plain = sweep_nd_percent(&base, &percents).expect("plain sweep");
-    let (instrumented, metrics) =
-        sweep_nd_percent_instrumented(&base, &percents, None).expect("instrumented sweep");
+    let axis = SweepAxis::NdPercent(percents.to_vec());
+    let plain = sweep(&base, &axis, &RunCtx::default()).expect("plain sweep");
+    let reg = MetricsRegistry::new();
+    let ctx = RunCtx {
+        metrics: Some(&reg),
+        ..RunCtx::default()
+    };
+    let instrumented = sweep(&base, &axis, &ctx).expect("instrumented sweep");
     assert_eq!(plain.mean_series(), instrumented.mean_series());
+    let metrics = instrumented.metrics.expect("per-point metrics");
     assert_eq!(metrics.points.len(), percents.len());
     for pm in &metrics.points {
         assert_eq!(pm.report.counter("campaign/runs"), Some(4), "{}", pm.label);
