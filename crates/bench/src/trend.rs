@@ -264,21 +264,24 @@ pub fn analyze_files(
     })
 }
 
-/// Analyze every `*BENCH*.json` file directly inside `dir`, in
-/// lexicographic name order.
+/// Analyze every `BENCH_*.json` report directly inside `dir`, in
+/// lexicographic name order. Other JSON files are not reports: the
+/// benchmark declaration `BENCHMARK.json` sits beside them.
 pub fn analyze_dir(dir: &str, config: &TrendConfig) -> Result<TrendReport, String> {
     let mut names: Vec<String> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read {dir}: {e}"))?
         .filter_map(|entry| {
             let entry = entry.ok()?;
             let name = entry.file_name().to_string_lossy().into_owned();
-            (entry.file_type().ok()?.is_file() && name.contains("BENCH") && name.ends_with(".json"))
-                .then_some(name)
+            (entry.file_type().ok()?.is_file()
+                && name.starts_with("BENCH_")
+                && name.ends_with(".json"))
+            .then_some(name)
         })
         .collect();
     names.sort();
     if names.is_empty() {
-        return Err(format!("no BENCH*.json report files found in {dir}"));
+        return Err(format!("no BENCH_*.json report files found in {dir}"));
     }
     let mut files = Vec::new();
     for name in names {
@@ -524,6 +527,25 @@ mod tests {
         let r = analyze_files(&fs, &TrendConfig::default()).unwrap();
         assert_eq!(r.regressions, 0);
         assert!(r.series.iter().any(|s| s.pattern == "gram_scale/256"));
+    }
+
+    #[test]
+    fn directory_scan_reads_reports_and_skips_the_benchmark_declaration() {
+        let dir = std::env::temp_dir().join(format!("anacin_trend_dir_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("BENCH_001.json"), large_report(100.0)).unwrap();
+        std::fs::write(dir.join("BENCH_002.json"), large_report(101.0)).unwrap();
+        std::fs::write(
+            dir.join("BENCHMARK.json"),
+            r#"{"command":["ndbench"],"workloads":[]}"#,
+        )
+        .unwrap();
+        let r = analyze_dir(dir.to_str().unwrap(), &TrendConfig::default());
+        std::fs::remove_dir_all(&dir).ok();
+        let r = r.unwrap();
+        assert_eq!(r.files, ["BENCH_001.json", "BENCH_002.json"]);
+        assert_eq!(r.regressions, 0);
+        assert!(!r.series.is_empty());
     }
 
     #[test]

@@ -110,7 +110,7 @@ COMMANDS
               → BENCH_large.json
               [--procs N] [--runs N] [--iterations N] [--out FILE]
               anacin bench trend DIR  regression gate over per-commit
-              BENCH*.json reports: newest vs trailing median per stage,
+              BENCH_*.json reports: newest vs trailing median per stage,
               non-zero exit when flagged
               [--threshold PCT] [--window N] [--json]
   root-cause  callstack ranking for a campaign
@@ -628,7 +628,15 @@ fn cmd_explore(args: &Args) -> Result<(), String> {
             let program = pattern.build(&app);
             let xcfg = explore_config_of(args)?;
             let metrics = metrics_of(args);
-            let report = explore_observed(&program, &xcfg, metrics.as_ref().map(|(_, r)| r));
+            let report = {
+                let reg = metrics.as_ref().map(|(_, r)| r);
+                let _span = reg.map(|m| m.span("explore"));
+                let report = explore(&program, &xcfg);
+                if let Some(m) = reg {
+                    flush_explore_metrics(m, &report.stats);
+                }
+                report
+            };
             if let Some((path, reg)) = &metrics {
                 write_metrics(path, reg)?;
             }

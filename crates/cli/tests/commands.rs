@@ -72,6 +72,34 @@ fn campaign_alias_with_metrics_report() {
 }
 
 #[test]
+fn explore_stats_metrics_report_the_walk_under_an_explore_span() {
+    let dir = std::env::temp_dir().join("anacin_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("explore-metrics.json");
+    run(&[
+        "explore",
+        "stats",
+        "--pattern",
+        "message-race",
+        "--procs",
+        "4",
+        "--metrics",
+        path.to_str().unwrap(),
+    ])
+    .unwrap();
+    let json = std::fs::read_to_string(&path).unwrap();
+    for name in [
+        "\"explore\"",
+        "explore/schedules",
+        "explore/branches",
+        "explore/pruned",
+    ] {
+        assert!(json.contains(name), "missing {name} in {json}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn bench_baseline_writes_report() {
     let dir = std::env::temp_dir().join("anacin_cli_test");
     std::fs::create_dir_all(&dir).unwrap();

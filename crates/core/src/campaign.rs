@@ -392,32 +392,75 @@ fn traces_stage(
     Ok(slots.into_iter().flatten().collect())
 }
 
-/// Stage 2: every run's event graph, warm from `store` or built (then
-/// published).
+/// `f` of every item, computed on up to `threads` scoped workers that
+/// claim items in order; results come back in item order. A single
+/// worker maps on the calling thread: a spawned one would allocate the
+/// results in a malloc arena of its own, which raised a one-thread
+/// daemon's peak RSS by a tenth.
+fn parallel_map<T: Sync, U: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> U + Sync,
+) -> Vec<U> {
+    let workers = threads.clamp(1, items.len().max(1));
+    if workers == 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let (f, next) = (&f, &next);
+    let mut out: Vec<(usize, U)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(move || {
+                    let mut local = Vec::new();
+                    loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(k) else { break };
+                        local.push((k, f(item)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("worker panicked"))
+            .collect()
+    });
+    out.sort_unstable_by_key(|&(k, _)| k);
+    out.into_iter().map(|(_, v)| v).collect()
+}
+
+/// Stage 2: every run's event graph, warm from `store` or built on
+/// `config.threads` workers (then published in run order).
 fn graphs_stage(
     config: &CampaignConfig,
     traces: &[Trace],
     store: Option<&ArtifactStore>,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<Vec<EventGraph>, StoreError> {
-    let mut graphs = Vec::with_capacity(traces.len());
-    for (run, trace) in traces.iter().enumerate() {
-        let Some(s) = store else {
-            graphs.push(EventGraph::from_trace_with_metrics(trace, metrics));
-            continue;
+    let mut graphs: Vec<Option<EventGraph>> = Vec::with_capacity(traces.len());
+    let mut missing = Vec::new();
+    for run in 0..traces.len() {
+        let stored = match store {
+            Some(s) => get_or_heal::<EventGraph>(s, run_fingerprint(config, run as u32))?,
+            None => None,
         };
-        let fp = run_fingerprint(config, run as u32);
-        let g = match get_or_heal::<EventGraph>(s, fp)? {
-            Some(g) => g,
-            None => {
-                let g = EventGraph::from_trace_with_metrics(trace, metrics);
-                s.put(fp, &g)?;
-                g
-            }
-        };
-        graphs.push(g);
+        if stored.is_none() {
+            missing.push(run);
+        }
+        graphs.push(stored);
     }
-    Ok(graphs)
+    let built = parallel_map(&missing, config.threads, |&run| {
+        EventGraph::from_trace_with_metrics(&traces[run], metrics)
+    });
+    for (run, g) in missing.into_iter().zip(built) {
+        if let Some(s) = store {
+            s.put(run_fingerprint(config, run as u32), &g)?;
+        }
+        graphs[run] = Some(g);
+    }
+    Ok(graphs.into_iter().flatten().collect())
 }
 
 /// Stage 3a: every run's feature vector, warm from `store` or extracted

@@ -181,9 +181,10 @@ impl EventGraph {
         trace: &Trace,
         metrics: Option<&anacin_obs::MetricsRegistry>,
     ) -> Self {
-        // Per-graph wall time (nests as `campaign/graph/build` inside the
-        // campaign runner), so traced timelines show each run's build cost
-        // rather than one opaque stage total.
+        // Per-graph wall time (nests as `campaign/graph/build` when the
+        // campaign runner builds on its own thread, plain `build` on its
+        // graph workers, which have no span stack), so traced timelines
+        // show each run's build cost rather than one opaque stage total.
         let _span = metrics.map(|m| m.span("build"));
         let world = trace.world_size();
         let mut nodes = Vec::with_capacity(trace.total_events());

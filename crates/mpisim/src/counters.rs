@@ -86,7 +86,8 @@ mod tests {
         let per_run = MetricsRegistry::new();
         for seed in 0..5 {
             let c = SimConfig::with_nd_percent(100.0, seed);
-            crate::engine::simulate_with_metrics(&p, &c, Some(&per_run)).unwrap();
+            let counters = SimCounters::new(&per_run);
+            simulate_counted(&p, &c, Some(&per_run), Some(&counters)).unwrap();
         }
         let a = batched.report();
         let b = per_run.report();

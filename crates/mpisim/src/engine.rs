@@ -22,6 +22,27 @@
 //! placing the completion at the `irecv` post site would put a receive
 //! *before* the sends of the same exchange phase in program order, which
 //! combined with message edges creates cycles in all-to-all patterns.
+//!
+//! ## Per-event cost
+//!
+//! Apart from the arrival heap's O(log m) sift over the m messages in
+//! flight, no per-event step walks a structure that grows with the rank
+//! count:
+//!
+//! * **Wait counter.** A rank that blocks in `Wait`/`Waitall` flags the
+//!   receive slots it still waits for (those listed before the first
+//!   unknown slot, so `UnknownRequest` is reported exactly when the list
+//!   is first fully scanned) and records how many there are in
+//!   `Status::BlockedWait`. A completing receive decrements the counter
+//!   if its slot is flagged; only when it reaches zero is the request
+//!   list — read from the program op at `pc − 1` — walked once more to
+//!   emit the receive events. An all-to-all phase of `n` ranks therefore
+//!   costs O(n) per rank, not O(n²).
+//! * **Heap slab.** The arrival queue orders small `(time, seq, slot)`
+//!   keys; the messages themselves sit in a slab whose freed slots are
+//!   reused, so the slab grows with the peak number of messages in
+//!   flight, not with the total sent. `seq` is unique, so the slot never
+//!   breaks a tie and the pop order is exactly `(time, seq)`.
 
 use crate::counters::SimCounters;
 use crate::matching::{InFlightMsg, MatchEngine, PostKind, PostedRecv};
@@ -161,6 +182,8 @@ enum ReqState {
         wildcard: bool,
         stack: CallStackId,
         ordinal: u32,
+        /// Counted by the wait the rank is blocked in.
+        waited: bool,
     },
     RecvDone(Box<RecvCompletion>),
     RecvEmitted(SimTime),
@@ -171,8 +194,19 @@ enum Status {
     Ready,
     BlockedRecv,
     BlockedSsend,
-    BlockedWait(Vec<ReqSlot>),
+    /// Blocked in the wait at `pc − 1` until this many flagged receives
+    /// complete.
+    BlockedWait(u32),
     Done,
+}
+
+/// The request list of a `Wait`/`Waitall` op.
+fn wait_reqs(op: &Op) -> &[ReqSlot] {
+    match op {
+        Op::Wait { req, .. } => std::slice::from_ref(req),
+        Op::Waitall { reqs, .. } => reqs,
+        other => unreachable!("{} is not a wait", other.mnemonic()),
+    }
 }
 
 struct RankState {
@@ -190,13 +224,15 @@ struct RankState {
 }
 
 impl RankState {
-    fn new(world: usize) -> Self {
+    /// A rank about to run `ops` ops: each emits at most one event, plus
+    /// `Init` and `Finalize`, so the event list never reallocates.
+    fn new(world: usize, ops: usize) -> Self {
         RankState {
             pc: 0,
             now: SimTime::ZERO,
             status: Status::Ready,
             requests: Vec::new(),
-            events: Vec::new(),
+            events: Vec::with_capacity(ops + 2),
             chan_seq: vec![0; world],
             chan_last_arrival: vec![SimTime::ZERO; world],
             recv_ordinal: 0,
@@ -209,10 +245,6 @@ impl RankState {
             self.requests.resize(i + 1, ReqState::Unused);
         }
         &mut self.requests[i]
-    }
-
-    fn req(&self, slot: ReqSlot) -> &ReqState {
-        self.requests.get(slot.index()).unwrap_or(&ReqState::Unused)
     }
 
     /// Append an event, returning its rank-local index — or `None` once
@@ -237,50 +269,19 @@ impl RankState {
     }
 }
 
-#[derive(PartialEq, Eq)]
-struct QueuedArrival {
-    time: SimTime,
-    seq: u64,
-    msg: InFlightMsg,
-}
-
-impl Ord for QueuedArrival {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for QueuedArrival {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Run `program` under `config` with free (MPI-standard) matching.
 pub fn simulate(program: &Program, config: &SimConfig) -> Result<Trace, SimError> {
     Engine::new(program, config, None).run(None)
 }
 
-/// [`simulate`], instrumented: records the run's wall time under the span
-/// `sim` and flushes execution counters (`sim/events`, `sim/messages`,
-/// `sim/matched`, `sim/wildcard_matches`, `sim/delays_injected`) into
-/// `metrics`. With `metrics = None` this is exactly [`simulate`] — the
+/// [`simulate`], instrumented: `metrics` records the run's wall time
+/// under the span `sim`, and the six execution counters (`sim/runs`,
+/// `sim/events`, `sim/messages`, `sim/matched`, `sim/wildcard_matches`,
+/// `sim/delays_injected`) flush through `counters` with lock-free atomic
+/// adds. Worker loops that simulate many runs create one [`SimCounters`]
+/// per worker instead of paying six registry-map locks per run. The
 /// instrumentation never touches simulated time or matching, so traces
-/// are bit-identical either way.
-pub fn simulate_with_metrics(
-    program: &Program,
-    config: &SimConfig,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Trace, SimError> {
-    let counters = metrics.map(SimCounters::new);
-    simulate_counted(program, config, metrics, counters.as_ref())
-}
-
-/// [`simulate_with_metrics`] with pre-resolved counter handles: `metrics`
-/// provides only the per-run `sim` span; the six execution counters flush
-/// through `counters` with lock-free atomic adds. Worker loops that
-/// simulate many runs should create one [`SimCounters`] per worker and
-/// call this, instead of paying six registry-map locks per run.
+/// are bit-identical with or without it.
 pub fn simulate_counted(
     program: &Program,
     config: &SimConfig,
@@ -307,8 +308,13 @@ struct Engine<'a> {
     config: SimConfig,
     ranks: Vec<RankState>,
     matchers: Vec<MatchEngine>,
-    queue: BinaryHeap<Reverse<QueuedArrival>>,
+    /// Arrival keys `(time, injection seq, slab slot)`, earliest first.
+    queue: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
     queue_seq: u64,
+    /// Messages in flight, indexed by the slot of their queue key.
+    in_flight: Vec<InFlightMsg>,
+    /// Slots of `in_flight` whose message was delivered.
+    free_slots: Vec<usize>,
     messages: u64,
     replay: Option<&'a MatchRecord>,
 }
@@ -325,10 +331,14 @@ impl<'a> Engine<'a> {
             program,
             network,
             config: config.clone(),
-            ranks: (0..world).map(|_| RankState::new(world)).collect(),
+            ranks: (0..world)
+                .map(|r| RankState::new(world, program.ops(Rank(r as u32)).len()))
+                .collect(),
             matchers: (0..world).map(|_| MatchEngine::new()).collect(),
             queue: BinaryHeap::new(),
             queue_seq: 0,
+            in_flight: Vec::new(),
+            free_slots: Vec::new(),
             messages: 0,
             replay,
         }
@@ -345,8 +355,9 @@ impl<'a> Engine<'a> {
             self.run_rank(rank)?;
         }
         // Drain arrivals.
-        while let Some(Reverse(QueuedArrival { msg, .. })) = self.queue.pop() {
-            self.deliver(msg)?;
+        while let Some(Reverse((_, _, slot))) = self.queue.pop() {
+            self.free_slots.push(slot);
+            self.deliver(self.in_flight[slot].clone())?;
         }
         // Termination check.
         let blocked: Vec<BlockedRank> = self
@@ -401,7 +412,7 @@ impl<'a> Engine<'a> {
 
     /// Execute `rank` from its current pc until it blocks or finishes.
     fn run_rank(&mut self, rank: Rank) -> Result<(), SimError> {
-        let ops = self.program.ops(rank);
+        let ops: &'a [Op] = self.program.ops(rank);
         loop {
             let pc = self.ranks[rank.index()].pc;
             let Some(op) = ops.get(pc) else {
@@ -413,7 +424,7 @@ impl<'a> Engine<'a> {
                 self.ranks[rank.index()].status = Status::Done;
                 return Ok(());
             };
-            match op.clone() {
+            match *op {
                 Op::Send {
                     dst,
                     tag,
@@ -496,6 +507,7 @@ impl<'a> Engine<'a> {
                         wildcard,
                         stack,
                         ordinal,
+                        waited: false,
                     };
                     let forced = self.replay_constraint(rank, ordinal, wildcard);
                     let posted = PostedRecv {
@@ -516,16 +528,8 @@ impl<'a> Engine<'a> {
                     let rs = &mut self.ranks[rank.index()];
                     rs.now = rs.now.after(self.config.network.recv_overhead_ns / 4);
                 }
-                Op::Wait { req, stack: _ } => {
-                    if !self.try_complete_wait(rank, &[req])? {
-                        self.ranks[rank.index()].status = Status::BlockedWait(vec![req]);
-                        self.ranks[rank.index()].pc = pc + 1;
-                        return Ok(());
-                    }
-                }
-                Op::Waitall { reqs, stack: _ } => {
-                    if !self.try_complete_wait(rank, &reqs)? {
-                        self.ranks[rank.index()].status = Status::BlockedWait(reqs.clone());
+                Op::Wait { .. } | Op::Waitall { .. } => {
+                    if !self.begin_wait(rank, wait_reqs(op))? {
                         self.ranks[rank.index()].pc = pc + 1;
                         return Ok(());
                     }
@@ -604,12 +608,18 @@ impl<'a> Engine<'a> {
             arrival,
             sync,
         };
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.in_flight[slot] = msg;
+                slot
+            }
+            None => {
+                self.in_flight.push(msg);
+                self.in_flight.len() - 1
+            }
+        };
         self.queue_seq += 1;
-        self.queue.push(Reverse(QueuedArrival {
-            time: arrival,
-            seq: self.queue_seq,
-            msg,
-        }));
+        self.queue.push(Reverse((arrival, self.queue_seq, slot)));
         self.messages += 1;
         // Local completion.
         let rs = &mut self.ranks[rank.index()];
@@ -668,17 +678,19 @@ impl<'a> Engine<'a> {
 
     /// Record the completion of a matched *nonblocking* receive in its
     /// request slot; the trace event is emitted by the completing wait.
-    fn complete_nonblocking(&mut self, rank: Rank, recv: &PostedRecv, msg: &InFlightMsg) {
+    /// Returns whether the wait the rank is blocked in counts this slot.
+    fn complete_nonblocking(&mut self, rank: Rank, recv: &PostedRecv, msg: &InFlightMsg) -> bool {
         let PostKind::Nonblocking(req) = recv.kind else {
             unreachable!("complete_nonblocking on blocking receive");
         };
         let rs = &mut self.ranks[rank.index()];
-        let (wildcard, stack, ordinal) = match *rs.req(req) {
+        let (wildcard, stack, ordinal, waited) = match *rs.req_mut(req) {
             ReqState::RecvPending {
                 wildcard,
                 stack,
                 ordinal,
-            } => (wildcard, stack, ordinal),
+                waited,
+            } => (wildcard, stack, ordinal, waited),
             ref s => unreachable!("nonblocking completion into {s:?}"),
         };
         let at = msg.arrival.max(recv.posted_at);
@@ -693,52 +705,83 @@ impl<'a> Engine<'a> {
             stack,
             ordinal,
         }));
+        waited
     }
 
-    /// If all `reqs` are complete, emit the receive events (request-list
-    /// order), advance local time past their completions, and return true.
-    fn try_complete_wait(&mut self, rank: Rank, reqs: &[ReqSlot]) -> Result<bool, SimError> {
-        // First pass: check completion.
+    /// Enter a wait on `reqs`. Flags every receive still pending among
+    /// the slots listed before the first unknown one; with none, the wait
+    /// completes now (an unknown slot is then an error). Otherwise the
+    /// rank blocks until the flagged receives complete, and returns
+    /// false.
+    fn begin_wait(&mut self, rank: Rank, reqs: &[ReqSlot]) -> Result<bool, SimError> {
+        let rs = &mut self.ranks[rank.index()];
+        let mut pending = 0u32;
+        for &slot in reqs {
+            match rs.requests.get_mut(slot.index()) {
+                None | Some(ReqState::Unused) => break,
+                Some(ReqState::RecvPending { waited, .. }) if !*waited => {
+                    *waited = true;
+                    pending += 1;
+                }
+                Some(_) => {}
+            }
+        }
+        if pending == 0 {
+            self.finish_wait(rank, reqs)?;
+            return Ok(true);
+        }
+        rs.status = Status::BlockedWait(pending);
+        Ok(false)
+    }
+
+    /// Complete a wait whose receives have all completed: emit the
+    /// receive events (request-list order) and advance local time past
+    /// every completion.
+    fn finish_wait(&mut self, rank: Rank, reqs: &[ReqSlot]) -> Result<(), SimError> {
+        let rs = &mut self.ranks[rank.index()];
         let mut latest = SimTime::ZERO;
         for &slot in reqs {
-            match self.ranks[rank.index()].req(slot) {
-                ReqState::Unused => {
-                    return Err(SimError::UnknownRequest { rank, req: slot });
+            let Some(state) = rs.requests.get_mut(slot.index()) else {
+                return Err(SimError::UnknownRequest { rank, req: slot });
+            };
+            let c = match state {
+                ReqState::Unused => return Err(SimError::UnknownRequest { rank, req: slot }),
+                ReqState::RecvPending { .. } => {
+                    unreachable!("wait finished with a pending receive")
                 }
-                ReqState::RecvPending { .. } => return Ok(false),
-                ReqState::SendDone(t) | ReqState::RecvEmitted(t) => latest = latest.max(*t),
-                ReqState::RecvDone(c) => latest = latest.max(c.at),
-            }
+                ReqState::SendDone(t) | ReqState::RecvEmitted(t) => {
+                    latest = latest.max(*t);
+                    continue;
+                }
+                ReqState::RecvDone(c) => {
+                    let emitted = ReqState::RecvEmitted(c.at);
+                    let ReqState::RecvDone(c) = std::mem::replace(state, emitted) else {
+                        unreachable!("matched as RecvDone")
+                    };
+                    c
+                }
+            };
+            latest = latest.max(c.at);
+            // Clamp to keep per-rank event times monotone: the completion
+            // is *observed* at the wait, after any events already emitted.
+            let t = c.at.max(rs.last_event_time());
+            rs.emit(
+                EventKind::Recv {
+                    src: c.src,
+                    tag: c.tag,
+                    bytes: c.bytes,
+                    send_event: c.send_event,
+                    seq: c.seq,
+                    wildcard: c.wildcard,
+                    post_ordinal: c.ordinal,
+                },
+                t,
+                c.stack,
+            )
+            .ok_or(SimError::TraceTooLarge { rank })?;
         }
-        // Second pass: emit completed receives in request-list order.
-        for &slot in reqs {
-            let rs = &mut self.ranks[rank.index()];
-            if let ReqState::RecvDone(c) = rs.req(slot) {
-                let c = c.clone();
-                // Clamp to keep per-rank event times monotone: the
-                // completion is *observed* at the wait, after any events
-                // already emitted.
-                let t = c.at.max(rs.last_event_time());
-                rs.emit(
-                    EventKind::Recv {
-                        src: c.src,
-                        tag: c.tag,
-                        bytes: c.bytes,
-                        send_event: c.send_event,
-                        seq: c.seq,
-                        wildcard: c.wildcard,
-                        post_ordinal: c.ordinal,
-                    },
-                    t,
-                    c.stack,
-                )
-                .ok_or(SimError::TraceTooLarge { rank })?;
-                *rs.req_mut(slot) = ReqState::RecvEmitted(c.at);
-            }
-        }
-        let rs = &mut self.ranks[rank.index()];
         rs.now = rs.now.max(latest);
-        Ok(true)
+        Ok(())
     }
 
     /// Process one arrival.
@@ -762,24 +805,25 @@ impl<'a> Engine<'a> {
                 self.wake_sync_sender(&msg, completion)?;
                 self.run_rank(dst)?;
             }
-            PostKind::Nonblocking(req) => {
-                self.complete_nonblocking(dst, &recv, &msg);
+            PostKind::Nonblocking(_) => {
+                let waited = self.complete_nonblocking(dst, &recv, &msg);
                 let completion = msg.arrival.max(recv.posted_at);
                 self.wake_sync_sender(&msg, completion)?;
-                // Wake the rank if it is blocked in a wait covering `req`.
-                let should_try = matches!(
-                    &self.ranks[dst.index()].status,
-                    Status::BlockedWait(reqs) if reqs.contains(&req)
-                );
-                if should_try {
-                    let reqs = match &self.ranks[dst.index()].status {
-                        Status::BlockedWait(r) => r.clone(),
-                        _ => unreachable!(),
-                    };
-                    if self.try_complete_wait(dst, &reqs)? {
-                        self.ranks[dst.index()].status = Status::Ready;
-                        self.run_rank(dst)?;
-                    }
+                if !waited {
+                    return Ok(());
+                }
+                // The rank is blocked in a wait counting this receive.
+                let rs = &mut self.ranks[dst.index()];
+                let Status::BlockedWait(pending) = &mut rs.status else {
+                    unreachable!("flagged receive completed outside a wait");
+                };
+                *pending -= 1;
+                if *pending == 0 {
+                    let program: &'a Program = self.program;
+                    let wait = &program.ops(dst)[rs.pc - 1];
+                    self.finish_wait(dst, wait_reqs(wait))?;
+                    self.ranks[dst.index()].status = Status::Ready;
+                    self.run_rank(dst)?;
                 }
             }
         }
@@ -981,6 +1025,105 @@ mod tests {
                 assert_eq!(req, ReqSlot(3));
             }
             other => panic!("expected UnknownRequest, got {other:?}"),
+        }
+    }
+
+    fn kinds(t: &Trace, r: u32) -> Vec<&'static str> {
+        t.rank_events(Rank(r))
+            .iter()
+            .map(|e| e.kind.mnemonic())
+            .collect()
+    }
+
+    #[test]
+    fn waitall_listing_a_slot_twice_emits_its_receive_once() {
+        let mut b = ProgramBuilder::new(2);
+        b.rank(Rank(0)).compute(5_000).send(Rank(1), Tag(0), 1);
+        {
+            let mut r1 = b.rank(Rank(1));
+            let r = r1.irecv(Rank(0), Tag(0).into());
+            r1.waitall(vec![r, r]);
+        }
+        let t = simulate(&b.build(), &SimConfig::deterministic()).unwrap();
+        t.validate().unwrap();
+        assert_eq!(kinds(&t, 1), ["init", "recv", "finalize"]);
+    }
+
+    #[test]
+    fn unknown_slot_after_pending_receives_is_reported_once_they_complete() {
+        let mut b = ProgramBuilder::new(2);
+        b.rank(Rank(0))
+            .compute(5_000)
+            .send(Rank(1), Tag(0), 1)
+            .send(Rank(1), Tag(1), 1);
+        {
+            let mut r1 = b.rank(Rank(1));
+            let a = r1.irecv(Rank(0), Tag(0).into());
+            let c = r1.irecv(Rank(0), Tag(1).into());
+            r1.waitall(vec![a, c, ReqSlot(9), a]);
+        }
+        match simulate(&b.build(), &SimConfig::deterministic()) {
+            Err(SimError::UnknownRequest { rank, req }) => {
+                assert_eq!((rank, req), (Rank(1), ReqSlot(9)));
+            }
+            other => panic!("expected UnknownRequest, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wait_on_an_already_completed_receive_returns_at_once() {
+        // The irecv completes while rank 1 is blocked in a later blocking
+        // receive; the wait then finds it done and emits it in place.
+        let mut b = ProgramBuilder::new(2);
+        b.rank(Rank(0))
+            .send(Rank(1), Tag(1), 1)
+            .compute(50_000)
+            .send(Rank(1), Tag(2), 1);
+        {
+            let mut r1 = b.rank(Rank(1));
+            let r = r1.irecv(Rank(0), Tag(1).into());
+            r1.recv(Rank(0), Tag(2).into()).wait(r);
+        }
+        let t = simulate(&b.build(), &SimConfig::deterministic()).unwrap();
+        t.validate().unwrap();
+        assert_eq!(kinds(&t, 1), ["init", "recv", "recv", "finalize"]);
+        let tags: Vec<i32> = t
+            .rank_events(Rank(1))
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Recv { tag, .. } => Some(tag.0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tags, [2, 1], "the waited receive is emitted at the wait");
+        let ev = t.rank_events(Rank(1));
+        assert!(ev[2].time >= ev[1].time, "wait-emitted time is clamped");
+    }
+
+    #[test]
+    fn ssend_inside_a_waited_phase_completes() {
+        // Rank 0's ssend is matched by rank 1's pending irecv while rank 1
+        // is blocked in a waitall counting it: waking the sender must not
+        // disturb rank 1's wait.
+        let mut b = ProgramBuilder::new(2);
+        {
+            let mut r0 = b.rank(Rank(0));
+            let r = r0.irecv(Rank(1), Tag(1).into());
+            r0.ssend(Rank(1), Tag(0), 1).wait(r);
+        }
+        {
+            let mut r1 = b.rank(Rank(1));
+            let q = r1.irecv(Rank(0), Tag(0).into());
+            let s = r1.isend(Rank(0), Tag(1), 1);
+            r1.waitall(vec![q, s]);
+        }
+        let p = b.build();
+        for nd in [0.0, 100.0] {
+            let t = simulate(&p, &SimConfig::with_nd_percent(nd, 4)).unwrap();
+            t.validate().unwrap();
+            assert_eq!(t.meta.unmatched_messages, 0);
+            assert_eq!(kinds(&t, 0), ["init", "send", "recv", "finalize"]);
+            assert_eq!(kinds(&t, 1), ["init", "send", "recv", "finalize"]);
         }
     }
 

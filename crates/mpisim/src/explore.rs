@@ -740,20 +740,6 @@ pub fn explore(program: &Program, config: &ExploreConfig) -> ExploreReport {
     ExploreReport { schedules, stats }
 }
 
-/// [`explore`] under an `"explore"` span, flushing the walk counters.
-pub fn explore_observed(
-    program: &Program,
-    config: &ExploreConfig,
-    metrics: Option<&MetricsRegistry>,
-) -> ExploreReport {
-    let _span = metrics.map(|m| m.span("explore"));
-    let report = explore(program, config);
-    if let Some(m) = metrics {
-        flush_explore_metrics(m, &report.stats);
-    }
-    report
-}
-
 /// Flush walk statistics into the standard explore counters
 /// (`explore/branches`, `explore/pruned`, `explore/schedules`).
 pub fn flush_explore_metrics(metrics: &MetricsRegistry, stats: &ExploreStats) {
@@ -1004,15 +990,15 @@ mod tests {
     }
 
     #[test]
-    fn explore_observed_flushes_counters() {
+    fn flush_explore_metrics_reports_the_walk() {
         let m = MetricsRegistry::new();
-        let report = explore_observed(&message_race(4), &ExploreConfig::default(), Some(&m));
+        let report = explore(&message_race(4), &ExploreConfig::default());
+        flush_explore_metrics(&m, &report.stats);
         let rep = m.report();
         assert_eq!(
             rep.counter("explore/schedules"),
             Some(report.stats.schedules)
         );
         assert_eq!(rep.counter("explore/branches"), Some(report.stats.branches));
-        assert!(rep.span("explore").is_some());
     }
 }

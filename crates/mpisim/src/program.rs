@@ -227,6 +227,10 @@ pub struct ProgramBuilder {
     stacks: CallStackTable,
     req_counters: Vec<u32>,
     contexts: Vec<Vec<String>>,
+    /// Per rank: the id of `context + [leaf]` for each leaf interned
+    /// since the rank's context last changed (at most one entry per MPI
+    /// mnemonic), so repeated ops skip building and hashing the path.
+    leaf_ids: Vec<Vec<(&'static str, CallStackId)>>,
 }
 
 impl ProgramBuilder {
@@ -242,6 +246,7 @@ impl ProgramBuilder {
             stacks: CallStackTable::new(),
             req_counters: vec![0; world_size as usize],
             contexts: vec![Vec::new(); world_size as usize],
+            leaf_ids: vec![Vec::new(); world_size as usize],
         }
     }
 
@@ -277,12 +282,27 @@ impl ProgramBuilder {
         }
     }
 
-    fn intern_with_leaf(&mut self, rank: Rank, leaf: &str) -> CallStackId {
+    /// The id of the rank's current context with `leaf` appended. The
+    /// table interns each path once, so the memoised id is the one
+    /// interning would return.
+    fn intern_with_leaf(&mut self, rank: Rank, leaf: &'static str) -> CallStackId {
+        let cache = &mut self.leaf_ids[rank.index()];
+        if let Some(&(_, id)) = cache.iter().find(|(l, _)| *l == leaf) {
+            return id;
+        }
         let ctx = &self.contexts[rank.index()];
         let mut frames: Vec<String> = Vec::with_capacity(ctx.len() + 1);
         frames.extend(ctx.iter().cloned());
         frames.push(leaf.to_string());
-        self.stacks.intern(crate::stack::CallStack::new(frames))
+        let id = self.stacks.intern(crate::stack::CallStack::new(frames));
+        cache.push((leaf, id));
+        id
+    }
+
+    /// The rank's context, invalidating its memoised leaf ids.
+    fn context_mut(&mut self, rank: Rank) -> &mut Vec<String> {
+        self.leaf_ids[rank.index()].clear();
+        &mut self.contexts[rank.index()]
     }
 }
 
@@ -305,13 +325,13 @@ impl<'a> RankBuilder<'a> {
 
     /// Push a context frame (e.g. a function name) for subsequent ops.
     pub fn push_frame(&mut self, frame: impl Into<String>) -> &mut Self {
-        self.builder.contexts[self.rank.index()].push(frame.into());
+        self.builder.context_mut(self.rank).push(frame.into());
         self
     }
 
     /// Pop the innermost context frame.
     pub fn pop_frame(&mut self) -> &mut Self {
-        self.builder.contexts[self.rank.index()].pop();
+        self.builder.context_mut(self.rank).pop();
         self
     }
 
@@ -321,7 +341,7 @@ impl<'a> RankBuilder<'a> {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.builder.contexts[self.rank.index()] = frames.into_iter().map(Into::into).collect();
+        *self.builder.context_mut(self.rank) = frames.into_iter().map(Into::into).collect();
         self
     }
 
@@ -524,6 +544,40 @@ mod tests {
         assert_eq!(send_stack.frames(), ["main", "exchange_halo", "MPI_Send"]);
         let recv_stack = p.stacks().resolve(ops[1].stack().unwrap());
         assert_eq!(recv_stack.frames(), ["main", "MPI_Recv"]);
+    }
+
+    #[test]
+    fn memoised_leaf_ids_follow_context_changes() {
+        let mut b = ProgramBuilder::new(1);
+        {
+            let mut rb = b.rank(Rank(0));
+            rb.push_frame("a");
+            rb.send(Rank(0), Tag(0), 1).send(Rank(0), Tag(0), 1);
+            rb.push_frame("b").send(Rank(0), Tag(0), 1);
+            rb.pop_frame().send(Rank(0), Tag(0), 1);
+            rb.set_context(["c"]).send(Rank(0), Tag(0), 1);
+            rb.recv(Rank(0), Tag(0).into());
+        }
+        let p = b.build();
+        let ids: Vec<CallStackId> = p.ops(Rank(0)).iter().filter_map(Op::stack).collect();
+        let paths: Vec<String> = ids
+            .iter()
+            .map(|&id| p.stacks().resolve(id).to_string())
+            .collect();
+        assert_eq!(
+            paths,
+            [
+                "a > MPI_Send",
+                "a > MPI_Send",
+                "a > b > MPI_Send",
+                "a > MPI_Send",
+                "c > MPI_Send",
+                "c > MPI_Recv",
+            ]
+        );
+        assert_eq!((ids[0], ids[0]), (ids[1], ids[3]));
+        // unknown + the four distinct paths, each interned once.
+        assert_eq!(p.stacks().len(), 5);
     }
 
     #[test]

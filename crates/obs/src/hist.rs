@@ -126,13 +126,22 @@ pub fn quantile_sparse(buckets: &[HistBucket], q: f64) -> u64 {
     bucket_lower_bound(buckets.last().map(|b| b.i as usize).unwrap_or(0))
 }
 
-/// The (p50, p95, p99) triple of a sparse histogram.
-pub fn percentiles_sparse(buckets: &[HistBucket]) -> (u64, u64, u64) {
-    (
-        quantile_sparse(buckets, 0.50),
-        quantile_sparse(buckets, 0.95),
-        quantile_sparse(buckets, 0.99),
-    )
+/// The (p50, p95, p99) triple of a sparse histogram whose observations
+/// span `[min_ns, max_ns]`, each clamped into that range.
+///
+/// Error: a bucket's lower bound undershoots any value in it by less
+/// than the bucket width, which is below `1/32` of the value, so each
+/// reported quantile `q̂` of a true quantile `q` satisfies
+/// `q·(1 − 1/32) < q̂ ≤ q` (exact below [`SUB_BUCKETS`] ns). The
+/// undershoot can put `q̂` below the smallest observation; since every
+/// true quantile lies in `[min_ns, max_ns]`, clamping only moves `q̂`
+/// toward `q`. An empty histogram reports zeros.
+pub fn percentiles_within(buckets: &[HistBucket], min_ns: u64, max_ns: u64) -> (u64, u64, u64) {
+    if buckets.is_empty() {
+        return (0, 0, 0);
+    }
+    let q = |q: f64| quantile_sparse(buckets, q).max(min_ns).min(max_ns);
+    (q(0.50), q(0.95), q(0.99))
 }
 
 /// Merge `other` into `into`, keeping index order and summing counts —
@@ -208,7 +217,7 @@ mod tests {
         let s = h.sparse();
         assert_eq!(h.count(), 8);
         assert_eq!(s.iter().map(|b| b.n).sum::<u64>(), 8);
-        let (p50, p95, p99) = percentiles_sparse(&s);
+        let (p50, p95, p99) = percentiles_within(&s, 10, 100_000);
         assert!(p50 <= p95 && p95 <= p99);
         assert!(p99 <= 100_000);
         assert_eq!(
@@ -222,7 +231,7 @@ mod tests {
         let h = LatencyHistogram::new();
         assert_eq!(h.count(), 0);
         assert!(h.sparse().is_empty());
-        assert_eq!(percentiles_sparse(&[]), (0, 0, 0));
+        assert_eq!(percentiles_within(&[], 0, 0), (0, 0, 0));
     }
 
     #[test]

@@ -257,7 +257,8 @@ impl MetricsRegistry {
             .iter()
             .map(|(name, a)| {
                 let buckets = a.hist.sparse();
-                let (p50_ns, p95_ns, p99_ns) = hist::percentiles_sparse(&buckets);
+                let (p50_ns, p95_ns, p99_ns) =
+                    hist::percentiles_within(&buckets, a.min_ns, a.max_ns);
                 SpanSample {
                     name: name.clone(),
                     count: a.count,
@@ -382,8 +383,10 @@ pub struct SpanSample {
     pub min_ns: u64,
     /// Longest interval, nanoseconds.
     pub max_ns: u64,
-    /// Median interval from the log-bucketed histogram (bucket lower
-    /// bound — ≤ ~3.2% below the true quantile, never above the max).
+    /// Median interval from the log-bucketed histogram: its bucket's
+    /// lower bound clamped to `[min_ns, max_ns]`, less than 1/32
+    /// (≈3.1 %) below the true quantile and never above it (see
+    /// [`hist::percentiles_within`]).
     pub p50_ns: u64,
     /// 95th-percentile interval (same error bound as `p50_ns`).
     pub p95_ns: u64,

@@ -905,7 +905,7 @@ pub(crate) fn merge_reports(into: &mut MetricsReport, other: &MetricsReport) {
                 // the merged distribution, not from the inputs' quantiles
                 // (quantiles do not compose, bucket counts do).
                 crate::hist::merge_sparse(&mut x.hist, &s.hist);
-                let (p50, p95, p99) = crate::hist::percentiles_sparse(&x.hist);
+                let (p50, p95, p99) = crate::hist::percentiles_within(&x.hist, x.min_ns, x.max_ns);
                 x.p50_ns = p50;
                 x.p95_ns = p95;
                 x.p99_ns = p99;

@@ -160,7 +160,11 @@ pub enum Frame {
     },
     /// Client → server: stop a queued or running job. Queued jobs are
     /// dropped immediately; running jobs finish their in-flight run and
-    /// stop. Answered with `Error{message: "cancelled"}`.
+    /// stop. Answered with `Error{message: "cancelled"}`, which is then
+    /// the job's one terminal frame. A `Cancel` that arrives after its
+    /// job has already answered (with `Result` or `Error`), or that
+    /// names no admitted job, gets no reply: every job gets exactly one
+    /// terminal frame.
     Cancel {
         /// The job to stop.
         id: u64,

@@ -8,6 +8,7 @@
 //! buffering.
 
 use crate::proto::JobSpec;
+use anacin_obs::CancelToken;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -23,6 +24,9 @@ pub struct QueuedJob {
     pub spec: JobSpec,
     /// When the job was admitted (queue-wait histogram).
     pub enqueued: Instant,
+    /// The job's cancellation token, created at admission so a `Cancel`
+    /// reaches the job whether it is still queued or already running.
+    pub cancel: CancelToken,
 }
 
 /// The queue refused a push.
@@ -205,6 +209,7 @@ mod tests {
                 config: CampaignConfig::new(Pattern::MessageRace, 4).runs(2),
             },
             enqueued: Instant::now(),
+            cancel: CancelToken::new(),
         }
     }
 

@@ -196,8 +196,10 @@ struct Shared {
     /// First client to run each campaign fingerprint — later warm hits
     /// by a *different* client count as cross-client sharing.
     producers: Mutex<HashMap<Fingerprint, u64>>,
-    /// Cancellation tokens of running jobs, keyed (client, job id).
-    running: Mutex<HashMap<(u64, u64), CancelToken>>,
+    /// Cancellation tokens of admitted jobs, queued or running, keyed
+    /// (client, job id). A token is registered before its job is queued
+    /// and removed before the job's terminal frame is sent.
+    jobs: Mutex<HashMap<(u64, u64), CancelToken>>,
     /// Live connection writers, keyed by client id.
     writers: Mutex<HashMap<u64, SharedWriter>>,
     next_client: AtomicU64,
@@ -273,7 +275,7 @@ impl Server {
             reg,
             draining: AtomicBool::new(false),
             producers: Mutex::new(HashMap::new()),
-            running: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(HashMap::new()),
             writers: Mutex::new(HashMap::new()),
             next_client: AtomicU64::new(1),
             cfg,
@@ -410,16 +412,8 @@ fn handle_client(shared: &Arc<Shared>, stream: Stream, client: u64) {
     loop {
         match read_frame(&mut reader) {
             Ok(Some(Frame::Submit { id, job })) => {
-                let refused = shared.draining.load(Ordering::Acquire)
-                    || shared
-                        .queue
-                        .push(QueuedJob {
-                            client,
-                            id,
-                            spec: job,
-                            enqueued: Instant::now(),
-                        })
-                        .is_err();
+                let refused =
+                    shared.draining.load(Ordering::Acquire) || !admit(shared, client, id, job);
                 if refused {
                     shared.reg.counter("serve/jobs_rejected").inc();
                     send(
@@ -434,28 +428,27 @@ fn handle_client(shared: &Arc<Shared>, stream: Stream, client: u64) {
                 }
             }
             Ok(Some(Frame::Cancel { id })) => {
-                if shared.queue.remove_job(client, id) {
-                    // Never started: answer immediately.
-                    shared.reg.counter("serve/jobs_cancelled").inc();
-                    send(
-                        &writer,
-                        &Frame::Error {
-                            id,
-                            message: "cancelled".into(),
-                        },
-                    );
-                } else if let Some(token) = shared.running.lock().unwrap().get(&(client, id)) {
-                    // Running: fire the token; the worker answers once
-                    // the in-flight run finishes.
-                    token.cancel();
-                } else {
-                    send(
-                        &writer,
-                        &Frame::Error {
-                            id,
-                            message: "no such job".into(),
-                        },
-                    );
+                // No token: the job already answered (or was never
+                // admitted), and one terminal frame per job is all a
+                // client ever gets.
+                let token = shared.jobs.lock().unwrap().get(&(client, id)).cloned();
+                if let Some(token) = token {
+                    if shared.queue.remove_job(client, id) {
+                        // Never started: answer immediately.
+                        shared.jobs.lock().unwrap().remove(&(client, id));
+                        shared.reg.counter("serve/jobs_cancelled").inc();
+                        send(
+                            &writer,
+                            &Frame::Error {
+                                id,
+                                message: "cancelled".into(),
+                            },
+                        );
+                    } else {
+                        // Claimed by a worker: fire the token; the worker
+                        // answers once the in-flight run finishes.
+                        token.cancel();
+                    }
                 }
             }
             Ok(Some(other)) => {
@@ -491,11 +484,40 @@ fn handle_client(shared: &Arc<Shared>, stream: Stream, client: u64) {
             .counter("serve/jobs_cancelled")
             .add(dropped.len() as u64);
     }
-    for (key, token) in shared.running.lock().unwrap().iter() {
+    let mut jobs = shared.jobs.lock().unwrap();
+    for job in &dropped {
+        jobs.remove(&(client, job.id));
+    }
+    for (key, token) in jobs.iter() {
         if key.0 == client {
             token.cancel();
         }
     }
+}
+
+/// Admit a submitted job: register its cancel token, then queue it.
+/// Registering first means a `Cancel` read right after the `Submit`
+/// always finds the job, however fast a worker claims it. False (and
+/// nothing registered) when the queue refuses.
+fn admit(shared: &Shared, client: u64, id: u64, spec: JobSpec) -> bool {
+    let cancel = CancelToken::new();
+    shared
+        .jobs
+        .lock()
+        .unwrap()
+        .insert((client, id), cancel.clone());
+    let job = QueuedJob {
+        client,
+        id,
+        spec,
+        enqueued: Instant::now(),
+        cancel,
+    };
+    if shared.queue.push(job).is_ok() {
+        return true;
+    }
+    shared.jobs.lock().unwrap().remove(&(client, id));
+    false
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -520,15 +542,13 @@ enum JobOutcome {
 
 fn execute_job(shared: &Arc<Shared>, job: QueuedJob) {
     let QueuedJob {
-        client, id, spec, ..
+        client,
+        id,
+        spec,
+        cancel,
+        ..
     } = job;
     let writer = shared.writers.lock().unwrap().get(&client).cloned();
-    let cancel = CancelToken::new();
-    shared
-        .running
-        .lock()
-        .unwrap()
-        .insert((client, id), cancel.clone());
     // A fresh registry per job: progress deltas and store counts are
     // exactly this job's, even with many jobs in flight.
     let reg = MetricsRegistry::new();
@@ -550,7 +570,7 @@ fn execute_job(shared: &Arc<Shared>, job: QueuedJob) {
     let outcome = run_spec(shared, &spec, &reg, &cancel);
     stop.store(true, Ordering::Release);
     let _ = ticker.join();
-    shared.running.lock().unwrap().remove(&(client, id));
+    shared.jobs.lock().unwrap().remove(&(client, id));
     let elapsed = start.elapsed();
     shared
         .reg

@@ -295,6 +295,47 @@ fn cancel_stops_a_job_with_an_error_frame() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A burst of submit+cancel pairs: each job gets exactly one terminal
+/// frame — its `Result` if it finished first, its cancellation otherwise
+/// — and a `Cancel` never races a worker's claim into "no such job".
+#[test]
+fn submit_cancel_burst_gets_one_terminal_frame_per_job() {
+    const JOBS: u64 = 48;
+    let (dir, handle) = start("cancel_burst", |c| c.workers(1));
+    let mut client = connect(&dir, "bursty");
+    let quick = CampaignConfig::new(Pattern::MessageRace, 4).runs(2);
+    let job = JobSpec::Campaign { config: quick };
+    for id in 1..=JOBS {
+        client.submit(id, job.clone()).expect("submit");
+        client.cancel(id).expect("cancel");
+    }
+    // One worker runs jobs in submission order, so every burst frame
+    // precedes the sentinel's result.
+    let sentinel = JOBS + 1;
+    client.submit(sentinel, job).expect("submit sentinel");
+    let mut terminal = vec![0u32; sentinel as usize];
+    loop {
+        match client.recv().expect("recv").expect("connection open") {
+            Frame::Result { id, .. } if id == sentinel => break,
+            Frame::Result { id, .. } => terminal[id as usize] += 1,
+            Frame::Error { id, message } => {
+                assert!(
+                    message.contains("cancel"),
+                    "job {id}: expected a cancellation, got '{message}'"
+                );
+                terminal[id as usize] += 1;
+            }
+            Frame::Busy { id, .. } => panic!("job {id} refused"),
+            _ => {}
+        }
+    }
+    for id in 1..=JOBS {
+        assert_eq!(terminal[id as usize], 1, "terminal frames of job {id}");
+    }
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A per-job timeout cancels cooperatively and reports it.
 #[test]
 fn job_timeout_cancels_with_a_timeout_error() {
