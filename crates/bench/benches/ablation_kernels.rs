@@ -55,14 +55,14 @@ fn ablation(c: &mut Criterion) {
     // Report the ND signal each kernel sees (stdout, once).
     println!("\nablation: mean pairwise distance over 10 runs of a 12-rank race @100% ND");
     for (name, k) in &kernels {
-        let m = gram_matrix(k.as_ref(), &gs, 4);
+        let m = gram_matrix(k.as_ref(), &gs, 4, None);
         println!("  {name:>18}: {:.4}", m.mean_pairwise_distance());
     }
     let mut group = c.benchmark_group("ablation_kernel_cost");
     group.sample_size(10);
     for (name, k) in &kernels {
         group.bench_function(*name, |b| {
-            b.iter(|| gram_matrix(k.as_ref(), &gs, 4).mean_pairwise_distance())
+            b.iter(|| gram_matrix(k.as_ref(), &gs, 4, None).mean_pairwise_distance())
         });
     }
     group.finish();

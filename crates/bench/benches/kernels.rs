@@ -62,7 +62,7 @@ fn gram_matrix_scaling(c: &mut Criterion) {
     group.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| gram_matrix(&k, &gs, t));
+            b.iter(|| gram_matrix(&k, &gs, t, None));
         });
     }
     group.finish();

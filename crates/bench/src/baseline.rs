@@ -113,30 +113,17 @@ pub struct ServeRow {
 /// Gram timings at one run count of the gram-at-scale tier: the same
 /// synthetic amg2013 feature set pushed through every Gram path,
 /// single-threaded so the ratios measure the algorithms, not the thread
-/// pool. `exact_ms` is the full k-way-merge Gram; `blocked_ms` (all
-/// pairwise blocked dots) and `append_ms` are bit-identical
-/// alternatives, `landmark_ms` is the opt-in approximation.
+/// pool. `exact_ms` is the full k-way-merge Gram, `append_ms` its
+/// bit-identical one-run extension.
 #[derive(Debug, Clone, Serialize)]
 pub struct GramScaleRow {
     /// Feature vectors (runs) in the Gram matrix.
     pub runs: usize,
     /// Full recompute: the k-way-merge Gram.
     pub exact_ms: f64,
-    /// Every pairwise entry through the blocked/galloping dot
-    /// (bit-identical to exact).
-    pub blocked_ms: f64,
     /// One `gram_append` step: growing the stored `runs−1` matrix by
     /// one run (`runs` new dots instead of `runs·(runs−1)/2`).
     pub append_ms: f64,
-    /// Nyström landmark approximation with `landmark_k` landmarks.
-    pub landmark_ms: f64,
-    /// Landmarks used by the approximation (⌈√runs⌉).
-    pub landmark_k: usize,
-    /// Frobenius error bound the approximation reported.
-    pub landmark_error_bound: f64,
-    /// `exact_ms / blocked_ms`: below 1 when the k-way merge beats
-    /// pairwise dots.
-    pub blocked_speedup: f64,
     /// `exact_ms / append_ms`.
     pub append_speedup: f64,
 }
@@ -223,17 +210,8 @@ impl BaselineReport {
             ));
             for r in &g.rows {
                 out.push_str(&format!(
-                    "  R={:<4} exact={:.3} ms  blocked={:.3} ms ({:.1}x)  \
-                     append={:.3} ms ({:.1}x)  landmark(k={})={:.3} ms bound={:.3}\n",
-                    r.runs,
-                    r.exact_ms,
-                    r.blocked_ms,
-                    r.blocked_speedup,
-                    r.append_ms,
-                    r.append_speedup,
-                    r.landmark_k,
-                    r.landmark_ms,
-                    r.landmark_error_bound
+                    "  R={:<4} exact={:.3} ms  append={:.3} ms ({:.1}x)\n",
+                    r.runs, r.exact_ms, r.append_ms, r.append_speedup
                 ));
             }
         }
@@ -302,45 +280,16 @@ pub fn run_gram_scale(cfg: &BaselineConfig) -> GramScaleReport {
         .map(|&r| {
             let slice = &feats[..r];
             let exact_ms = time_median_ms(3, || {
-                std::hint::black_box(gram_from_features_with_dot(
-                    "wl",
-                    slice,
-                    1,
-                    DotKind::Scalar,
-                    None,
-                ));
+                std::hint::black_box(gram_from_features("wl", slice, 1, None));
             });
-            let blocked_ms = time_median_ms(3, || {
-                for (i, a) in slice.iter().enumerate() {
-                    for b in &slice[i..] {
-                        std::hint::black_box(DotKind::Blocked.dot(a, b));
-                    }
-                }
-            });
-            let prev = gram_from_features_with_dot("wl", &slice[..r - 1], 1, DotKind::Scalar, None);
+            let prev = gram_from_features("wl", &slice[..r - 1], 1, None);
             let append_ms = time_median_ms(3, || {
-                std::hint::black_box(gram_append(&prev, slice, 1, DotKind::Scalar, None));
-            });
-            let k = (r as f64).sqrt().round() as usize;
-            let mut bound = 0.0;
-            let landmark_ms = time_median_ms(3, || {
-                let a = landmark_gram("wl", slice, k, 1, DotKind::Scalar, None);
-                bound = a.error_bound;
-                std::hint::black_box(a);
+                std::hint::black_box(gram_append(&prev, slice, 1, None));
             });
             GramScaleRow {
                 runs: r,
                 exact_ms,
-                blocked_ms,
                 append_ms,
-                landmark_ms,
-                landmark_k: k,
-                landmark_error_bound: bound,
-                blocked_speedup: if blocked_ms > 0.0 {
-                    exact_ms / blocked_ms
-                } else {
-                    0.0
-                },
                 append_speedup: if append_ms > 0.0 {
                     exact_ms / append_ms
                 } else {
@@ -526,15 +475,7 @@ mod tests {
         for (row, want) in g.rows.iter().zip([8usize, 16]) {
             assert_eq!(row.runs, want);
             assert!(row.exact_ms > 0.0, "R={}", row.runs);
-            assert!(row.blocked_ms > 0.0 && row.append_ms > 0.0 && row.landmark_ms > 0.0);
-            assert_eq!(row.landmark_k, (row.runs as f64).sqrt().round() as usize);
-            assert!(
-                row.landmark_error_bound.is_finite() && row.landmark_error_bound >= 0.0,
-                "R={}: bound {}",
-                row.runs,
-                row.landmark_error_bound
-            );
-            assert!(row.blocked_speedup > 0.0 && row.append_speedup > 0.0);
+            assert!(row.append_ms > 0.0 && row.append_speedup > 0.0);
         }
         assert!(table.contains("gram_scale"), "{table}");
         // Serialises cleanly for BENCH_baseline.json.
@@ -548,6 +489,5 @@ mod tests {
         assert!(json.contains("\"store_speedup\""));
         assert!(json.contains("\"gram_scale\""));
         assert!(json.contains("\"append_speedup\""));
-        assert!(json.contains("\"landmark_error_bound\""));
     }
 }

@@ -39,9 +39,10 @@ const LARGE_METRICS: &[&str] = &[
 /// Service-path metrics tracked from a baseline report's `serve` row.
 const SERVE_METRICS: &[&str] = &["serve_cold_ms", "serve_warm_ms"];
 
-/// Dot-schedule metrics tracked per run count of a baseline report's
-/// `gram_scale` section.
-const GRAM_SCALE_METRICS: &[&str] = &["exact_ms", "blocked_ms", "append_ms", "landmark_ms"];
+/// Gram metrics tracked per run count of a baseline report's
+/// `gram_scale` section. Older reports also carry the retired blocked-dot
+/// and landmark columns, which are read past.
+const GRAM_SCALE_METRICS: &[&str] = &["exact_ms", "append_ms"];
 
 /// Regressions smaller than this many units (milliseconds / MiB) never
 /// flag, whatever the relative change: sub-millisecond stages jitter by
@@ -171,8 +172,8 @@ fn extract(content: &str) -> Result<(String, Vec<MetricRow>), String> {
             }
         }
     }
-    // Newer baseline reports carry a `gram_scale` section: the dot
-    // schedules raced on a fixed feature set at growing run counts.
+    // Newer baseline reports carry a `gram_scale` section: the Gram
+    // paths timed on a fixed feature set at growing run counts.
     // Older reports lack the key and their series simply start when it
     // appears.
     if let Some(g) = map_get(obj, "gram_scale").as_object() {
@@ -385,6 +386,8 @@ mod tests {
         )
     }
 
+    /// A baseline with a `gram_scale` row, in the shape older reports
+    /// wrote: with the retired blocked-dot and landmark columns.
     fn baseline_with_gram_scale(exact_ms: f64) -> String {
         format!(
             r#"{{"procs":32,"runs":10,"samples":3,"patterns":[
@@ -518,6 +521,18 @@ mod tests {
             .expect("gram_scale exact_ms series");
         assert_eq!(exact.points.len(), 3);
         assert!(exact.flagged, "a doubled exact_ms must trip the gate");
+        let mut gram: Vec<&str> = r
+            .series
+            .iter()
+            .filter(|s| s.pattern == "gram_scale/256")
+            .map(|s| s.metric.as_str())
+            .collect();
+        gram.sort_unstable();
+        assert_eq!(
+            gram,
+            ["append_ms", "exact_ms"],
+            "retired columns are read past"
+        );
         // Reports predating the section mix in cleanly: the series just
         // starts at the first report that carries it.
         let fs = files(&[

@@ -23,14 +23,6 @@ COMMANDS
   run         run a measurement campaign ('campaign' is an alias)
               --pattern race|amg2013|mesh|collectives  --procs N  --nd P
               --runs N  --iterations N  --nodes N  --seed S  [--json]
-              [--dot scalar|blocked]  sparse-dot inner loop of the Gram
-                                append and landmark paths (default scalar;
-                                blocked is bit-identical)
-              [--gram-approx exact|landmarks=K]  opt-in Nystrom approximation
-                                of the Gram matrix from K landmark runs
-                                (R*K dots instead of R^2/2); reports a
-                                Frobenius error bound and never publishes
-                                approximate matrices to the store
               [--append-to DIR]  grow a stored campaign: reuse the largest
                                  stored Gram prefix of this run set and
                                  compute only the new rows/columns (R+1
@@ -208,12 +200,6 @@ fn campaign_of(args: &Args) -> Result<CampaignConfig, String> {
         .iterations(args.get_parsed("iterations", 1u32)?)
         .nodes(args.get_parsed("nodes", 1u32)?)
         .base_seed(args.get_parsed("seed", 1u64)?);
-    if let Some(s) = args.get("dot") {
-        cfg = cfg.dot(s.parse()?);
-    }
-    if let Some(s) = args.get("gram-approx") {
-        cfg = cfg.approx(s.parse()?);
-    }
     cfg.app.message_bytes = args.get_parsed("bytes", 1u64)?;
     Ok(cfg)
 }

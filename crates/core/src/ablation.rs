@@ -98,7 +98,7 @@ pub fn ablate(result: &CampaignResult, kernels: &[KernelChoice]) -> AblationRepo
         .map(|kc| {
             let kernel = kc.instantiate();
             let start = std::time::Instant::now();
-            let m = gram_matrix(kernel.as_ref(), &result.graphs, result.config.threads);
+            let m = gram_matrix(kernel.as_ref(), &result.graphs, result.config.threads, None);
             let micros = start.elapsed().as_micros();
             let d = m.pairwise_distances();
             let separated = if d.is_empty() {

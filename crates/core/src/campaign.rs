@@ -12,17 +12,15 @@
 //! each run's trace into the tracer in run-index order, so ring contents
 //! and streamed sinks do not depend on thread timing.
 
-use crate::config::{CampaignConfig, GramApprox};
+use crate::config::CampaignConfig;
 use crate::incremental::{
     campaign_fingerprint, features_fingerprint, get_or_heal, run_fingerprint, IncrementalError,
 };
 use anacin_event_graph::EventGraph;
-use anacin_kernels::approx::landmark_gram;
 use anacin_kernels::feature::SparseFeatures;
 use anacin_kernels::kernel::GraphKernel;
-use anacin_kernels::matrix::{
-    gram_append, gram_from_features_with_metrics, parallel_features_at, KernelMatrix,
-};
+use anacin_kernels::matrix::{gram_append, gram_from_features, parallel_features, KernelMatrix};
+use anacin_kernels::par::ordered_map;
 use anacin_mpisim::engine::{simulate_counted, SimError};
 use anacin_mpisim::program::Program;
 use anacin_mpisim::stack::CallStackTable;
@@ -176,7 +174,7 @@ pub enum StorePolicy<'a> {
     /// [`StorePolicy::Reuse`], but grow the largest stored prefix Gram
     /// matrix row by row instead of recomputing it: `R + 1` dot products
     /// per added run, byte-identical to a cold recompute. With no stored
-    /// prefix (or an approximate config) this is exactly `Reuse`.
+    /// prefix this is exactly `Reuse`.
     Append(&'a ArtifactStore),
 }
 
@@ -245,7 +243,8 @@ impl Turnstile {
 /// order, `simulate` each one (with one set of pre-resolved simulator
 /// counters per worker when `ctx.metrics` is set: the registry map locks
 /// once per worker, not once per run), and turn its trace into a `T` with
-/// `finish`.
+/// `finish`. Spans the workers start nest under the caller's innermost
+/// span, as on the calling thread.
 ///
 /// With `ctx.tracer`, each trace is recorded into the tracer (as run
 /// `ctx.run_base + run`) before `finish`, strictly in claim order: a
@@ -279,27 +278,31 @@ pub(crate) fn run_pool<T: Send>(
     let threads = threads.clamp(1, runs.len());
     let next = AtomicUsize::new(0);
     let turnstile = Turnstile::default();
-    let (simulate, finish, next, turnstile) = (&simulate, &finish, &next, &turnstile);
+    let parent = anacin_obs::current_span_path();
+    let (simulate, finish, next, turnstile, parent) =
+        (&simulate, &finish, &next, &turnstile, parent.as_deref());
     let results: Vec<Vec<(usize, Result<T, SimError>)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(move || {
-                    let counters = metrics.map(SimCounters::new);
-                    let mut local = Vec::new();
-                    while !cancel.is_some_and(CancelToken::is_cancelled) {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&run) = runs.get(k) else { break };
-                        let outcome = simulate(run, counters.as_ref());
-                        if let Some(t) = tracer {
-                            turnstile.pass(k, || {
-                                if let Ok(trace) = &outcome {
-                                    trace.record_into(t, run_base + run);
-                                }
-                            });
+                    anacin_obs::within_span(parent, || {
+                        let counters = metrics.map(SimCounters::new);
+                        let mut local = Vec::new();
+                        while !cancel.is_some_and(CancelToken::is_cancelled) {
+                            let k = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(&run) = runs.get(k) else { break };
+                            let outcome = simulate(run, counters.as_ref());
+                            if let Some(t) = tracer {
+                                turnstile.pass(k, || {
+                                    if let Ok(trace) = &outcome {
+                                        trace.record_into(t, run_base + run);
+                                    }
+                                });
+                            }
+                            local.push((k, outcome.map(finish)));
                         }
-                        local.push((k, outcome.map(finish)));
-                    }
-                    local
+                        local
+                    })
                 })
             })
             .collect();
@@ -392,47 +395,9 @@ fn traces_stage(
     Ok(slots.into_iter().flatten().collect())
 }
 
-/// `f` of every item, computed on up to `threads` scoped workers that
-/// claim items in order; results come back in item order. A single
-/// worker maps on the calling thread: a spawned one would allocate the
-/// results in a malloc arena of its own, which raised a one-thread
-/// daemon's peak RSS by a tenth.
-fn parallel_map<T: Sync, U: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> U + Sync,
-) -> Vec<U> {
-    let workers = threads.clamp(1, items.len().max(1));
-    if workers == 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (f, next) = (&f, &next);
-    let mut out: Vec<(usize, U)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(k) else { break };
-                        local.push((k, f(item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    out.sort_unstable_by_key(|&(k, _)| k);
-    out.into_iter().map(|(_, v)| v).collect()
-}
-
 /// Stage 2: every run's event graph, warm from `store` or built on
-/// `config.threads` workers (then published in run order).
+/// `config.threads` workers of [`ordered_map`] (then published in run
+/// order).
 fn graphs_stage(
     config: &CampaignConfig,
     traces: &[Trace],
@@ -451,7 +416,7 @@ fn graphs_stage(
         }
         graphs.push(stored);
     }
-    let built = parallel_map(&missing, config.threads, |&run| {
+    let built = ordered_map(&missing, config.threads, |&run| {
         EventGraph::from_trace_with_metrics(&traces[run], metrics)
     });
     for (run, g) in missing.into_iter().zip(built) {
@@ -485,7 +450,8 @@ fn features_stage(
         feats.push(stored);
     }
     if !missing.is_empty() {
-        let computed = parallel_features_at(kernel, graphs, &missing, config.threads, metrics);
+        let lacking: Vec<&EventGraph> = missing.iter().map(|&i| &graphs[i]).collect();
+        let computed = parallel_features(kernel, &lacking, config.threads, metrics);
         for (&i, f) in missing.iter().zip(computed) {
             if let Some(s) = store {
                 s.put(features_fingerprint(config, i as u32), &f)?;
@@ -496,32 +462,10 @@ fn features_stage(
     Ok(feats.into_iter().flatten().collect())
 }
 
-/// The Gram matrix of precomputed feature vectors: the exact k-way Gram
-/// (bit-identical across dot kinds and thread counts) or, only when
-/// `config.approx` opts in, the landmark approximation.
-fn compute_gram(
-    kernel_name: &str,
-    feats: &[SparseFeatures],
-    config: &CampaignConfig,
-    metrics: Option<&MetricsRegistry>,
-) -> KernelMatrix {
-    match config.approx {
-        GramApprox::Landmarks(k) => {
-            landmark_gram(kernel_name, feats, k, config.threads, config.dot, metrics).matrix
-        }
-        GramApprox::Exact => {
-            gram_from_features_with_metrics(kernel_name, feats, config.threads, metrics)
-        }
-    }
-}
-
 /// Stage 3b: the Gram matrix. Under a store, an exact matrix is read
 /// back or computed and published together with its distance sample;
 /// with a stored `prefix` (append), the prefix is grown one row per added
 /// run with [`gram_append`], publishing every intermediate matrix.
-/// Approximate matrices are never published to (or read from) the store:
-/// campaign-level keys name exact artifacts only, so an approximate run
-/// can never poison a warm exact one.
 fn gram_stage(
     config: &CampaignConfig,
     kernel_name: &str,
@@ -530,8 +474,9 @@ fn gram_stage(
     prefix: Option<(u32, KernelMatrix)>,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<KernelMatrix, StoreError> {
-    let Some(s) = store.filter(|_| config.approx == GramApprox::Exact) else {
-        return Ok(compute_gram(kernel_name, feats, config, metrics));
+    let cold = || gram_from_features(kernel_name, feats, config.threads, metrics);
+    let Some(s) = store else {
+        return Ok(cold());
     };
     let publish = |runs: u32, m: &KernelMatrix| -> Result<(), StoreError> {
         let fp = campaign_fingerprint(&config.clone().runs(runs));
@@ -540,13 +485,7 @@ fn gram_stage(
     };
     if let Some((stored_runs, mut m)) = prefix {
         for grown in stored_runs + 1..=config.runs {
-            m = gram_append(
-                &m,
-                &feats[..grown as usize],
-                config.threads,
-                config.dot,
-                metrics,
-            );
+            m = gram_append(&m, &feats[..grown as usize], config.threads, metrics);
             publish(grown, &m)?;
         }
         return Ok(m);
@@ -554,7 +493,7 @@ fn gram_stage(
     if let Some(m) = get_or_heal::<KernelMatrix>(s, campaign_fingerprint(config))? {
         return Ok(m);
     }
-    let m = compute_gram(kernel_name, feats, config, metrics);
+    let m = cold();
     publish(config.runs, &m)?;
     Ok(m)
 }
@@ -566,9 +505,6 @@ fn stored_prefix(
     config: &CampaignConfig,
     store: &ArtifactStore,
 ) -> Result<Option<(u32, KernelMatrix)>, StoreError> {
-    if config.approx != GramApprox::Exact {
-        return Ok(None);
-    }
     for r in (1..=config.runs).rev() {
         let sub = config.clone().runs(r);
         if let Some(m) = get_or_heal::<KernelMatrix>(store, campaign_fingerprint(&sub))? {
@@ -724,7 +660,7 @@ pub fn campaign_streaming(
     let feats: Vec<SparseFeatures> = done.into_iter().map(|(_, (f, _, _))| f).collect();
     let matrix = {
         let _s = metrics.map(|m| m.span("kernel"));
-        compute_gram(&kernel.name(), &feats, config, metrics)
+        gram_from_features(&kernel.name(), &feats, config.threads, metrics)
     };
     finish_counters(config, &matrix, metrics);
     Ok(StreamingCampaignResult {
@@ -984,51 +920,39 @@ mod tests {
     }
 
     #[test]
-    fn blocked_dot_campaign_is_bit_identical() {
-        use anacin_kernels::feature::DotKind;
-        let base = run_campaign(&CampaignConfig::new(Pattern::MessageRace, 6).runs(6)).unwrap();
-        let cfg = CampaignConfig::new(Pattern::MessageRace, 6)
-            .runs(6)
-            .dot(DotKind::Blocked);
-        let r = run_campaign(&cfg).unwrap();
-        assert_eq!(r.matrix, base.matrix);
-        let s = streamed(&cfg);
-        assert_eq!(s.matrix, base.matrix, "streaming");
-    }
-
-    #[test]
-    fn landmark_campaign_is_opt_in_and_reports_its_error_bound() {
-        use crate::config::GramApprox;
-        assert_eq!(CampaignConfig::default().approx, GramApprox::Exact);
-        let cfg = CampaignConfig::new(Pattern::MessageRace, 6).runs(8);
-        let exact = run_campaign(&cfg).unwrap();
-        // K = runs: the landmark set spans everything, so the
-        // approximation reconstructs the exact matrix up to eigen-solver
-        // noise.
-        let full = run_campaign(&cfg.clone().approx(GramApprox::Landmarks(8))).unwrap();
-        let scale = exact
-            .matrix
-            .values()
-            .iter()
-            .fold(0.0f64, |m, v| m.max(v.abs()))
-            .max(1.0);
-        for (a, b) in full.matrix.values().iter().zip(exact.matrix.values()) {
-            assert!((a - b).abs() <= 1e-6 * scale, "{a} vs {b}");
+    fn worker_spans_nest_under_their_stage_at_every_thread_count() {
+        let spans = |threads: usize, streaming: bool| {
+            let mut cfg = CampaignConfig::new(Pattern::Amg2013, 8).runs(4);
+            cfg.threads = threads;
+            let reg = MetricsRegistry::new();
+            if streaming {
+                campaign_streaming(&cfg, &observed(&reg)).unwrap();
+            } else {
+                campaign(&cfg, &observed(&reg)).unwrap();
+            }
+            let report = reg.report();
+            report.spans.into_iter().map(|s| s.name).collect::<Vec<_>>()
+        };
+        let materialised = spans(1, false);
+        for path in [
+            "campaign/simulate/sim",
+            "campaign/graph/build",
+            "campaign/kernel/features/feature",
+        ] {
+            assert!(
+                materialised.iter().any(|n| n == path),
+                "{path}: {materialised:?}"
+            );
         }
-        // A genuinely rank-deficient landmark set still reports a finite,
-        // non-negative Frobenius error bound.
-        let reg = MetricsRegistry::new();
-        let r = campaign(
-            &cfg.clone().approx(GramApprox::Landmarks(3)),
-            &observed(&reg),
-        )
-        .unwrap();
-        assert_eq!(r.matrix.len(), 8);
-        let bound = reg
-            .report()
-            .gauge("kernel/approx_error_bound")
-            .expect("approx campaigns report their bound");
-        assert!(bound.is_finite() && bound >= 0.0, "bound={bound}");
+        for streaming in [false, true] {
+            let one = spans(1, streaming);
+            assert_eq!(one, spans(2, streaming), "streaming={streaming}");
+            assert!(
+                one.iter()
+                    .all(|n| n == "campaign" || n.starts_with("campaign/")),
+                "a worker span escaped its stage: {one:?}"
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::campaign::{check_cancel, run_pool, CampaignError, CampaignResult, Int
 use crate::config::CampaignConfig;
 use crate::incremental::{absorb_setting, get_or_heal, IncrementalError};
 use anacin_event_graph::EventGraph;
-use anacin_kernels::matrix::{gram_matrix_with_metrics, KernelMatrix};
+use anacin_kernels::matrix::{gram_matrix, KernelMatrix};
 use anacin_mpisim::explore::{
     explore, flush_explore_metrics, simulate_scheduled, ExploreConfig, ExploreReport, Schedule,
     ScheduleId,
@@ -264,7 +264,7 @@ pub fn explore_campaign(
     let kernel = config.kernel.instantiate();
     let matrix = {
         let _s = metrics.map(|m| m.span("kernel"));
-        gram_matrix_with_metrics(kernel.as_ref(), &graphs, config.threads, metrics)
+        gram_matrix(kernel.as_ref(), &graphs, config.threads, metrics)
     };
     Ok(ExploreCampaignResult {
         config: config.clone(),

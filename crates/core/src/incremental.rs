@@ -26,10 +26,9 @@
 //! Fingerprints absorb a domain-separation label, [`KEY_SCHEMA`], and the
 //! canonical JSON of each semantic field (the config types' serde
 //! encodings are stable). `threads` and `dot` are deliberately excluded:
-//! thread count and dot implementation never change results, so warm
-//! hits survive re-running on a different machine shape. Changing
-//! pipeline semantics requires bumping [`KEY_SCHEMA`], which cleanly
-//! invalidates every old key.
+//! neither changes a result, so warm hits survive re-running on a
+//! different machine shape. Changing pipeline semantics requires bumping
+//! [`KEY_SCHEMA`], which cleanly invalidates every old key.
 
 use crate::campaign::{campaign, CampaignError, CampaignResult, Interrupted, RunCtx, StorePolicy};
 use crate::config::CampaignConfig;
@@ -216,8 +215,6 @@ pub fn run_campaign_append_with_metrics(
 mod tests {
     use super::*;
     use crate::campaign::run_campaign;
-    use crate::config::GramApprox;
-    use anacin_kernels::matrix::KernelMatrix;
     use anacin_miniapps::Pattern;
     use anacin_mpisim::trace::Trace;
     use anacin_store::ArtifactKind;
@@ -384,19 +381,6 @@ mod tests {
         threaded.threads = 1;
         assert_eq!(base, run_fingerprint(&threaded, 0));
         assert_eq!(campaign_fingerprint(&cfg), campaign_fingerprint(&threaded));
-        // Nor the dot-product implementation (bit-identical results) or
-        // the approximation mode (approximate matrices are never stored,
-        // so the key may only ever name exact artifacts).
-        let blocked = cfg.clone().dot(anacin_kernels::feature::DotKind::Blocked);
-        let approx = cfg.clone().approx(GramApprox::Landmarks(4));
-        for other in [&blocked, &approx] {
-            assert_eq!(base, run_fingerprint(other, 0));
-            assert_eq!(
-                features_fingerprint(&cfg, 0),
-                features_fingerprint(other, 0)
-            );
-            assert_eq!(campaign_fingerprint(&cfg), campaign_fingerprint(other));
-        }
     }
 
     #[test]
@@ -445,36 +429,30 @@ mod tests {
     }
 
     #[test]
-    fn append_is_bit_identical_across_threads_dots_and_store_temperature() {
-        use anacin_kernels::feature::DotKind;
+    fn append_is_bit_identical_across_threads_and_store_temperature() {
         let base_cfg = small_cfg();
         let reference = run_campaign(&base_cfg.clone().runs(8)).unwrap();
-        for dot in [DotKind::Scalar, DotKind::Blocked] {
-            for threads in [1usize, 2, 8] {
-                // Cold store: no prefix exists, so append falls back to the
-                // full incremental path.
-                let mut cfg = base_cfg.clone().runs(8).dot(dot);
-                cfg.threads = threads;
-                let (dir, store) = tmp_store(&format!("append-abt-{dot}-{threads}"));
-                let cold = run_campaign_append_with_metrics(&cfg, &store, None).unwrap();
-                assert_eq!(
-                    cold.matrix, reference.matrix,
-                    "cold dot={dot} threads={threads}"
-                );
-                // Warm store: grow the stored 8-run campaign one run at a
-                // time to 10; every intermediate matrix is published, and
-                // the final one matches a from-scratch campaign bit for bit.
-                let mut grown = cfg.clone();
-                for runs in 9..=10 {
-                    grown = grown.runs(runs);
-                    let r = run_campaign_append_with_metrics(&grown, &store, None).unwrap();
-                    assert_eq!(r.matrix.len(), runs as usize);
-                }
-                let full = run_campaign(&grown).unwrap();
-                let warm = run_campaign_append_with_metrics(&grown, &store, None).unwrap();
-                assert_eq!(warm.matrix, full.matrix, "warm dot={dot} threads={threads}");
-                let _ = std::fs::remove_dir_all(dir);
+        for threads in [1usize, 2, 8] {
+            // Cold store: no prefix exists, so append falls back to the
+            // full incremental path.
+            let mut cfg = base_cfg.clone().runs(8);
+            cfg.threads = threads;
+            let (dir, store) = tmp_store(&format!("append-abt-{threads}"));
+            let cold = run_campaign_append_with_metrics(&cfg, &store, None).unwrap();
+            assert_eq!(cold.matrix, reference.matrix, "cold threads={threads}");
+            // Warm store: grow the stored 8-run campaign one run at a
+            // time to 10; every intermediate matrix is published, and
+            // the final one matches a from-scratch campaign bit for bit.
+            let mut grown = cfg.clone();
+            for runs in 9..=10 {
+                grown = grown.runs(runs);
+                let r = run_campaign_append_with_metrics(&grown, &store, None).unwrap();
+                assert_eq!(r.matrix.len(), runs as usize);
             }
+            let full = run_campaign(&grown).unwrap();
+            let warm = run_campaign_append_with_metrics(&grown, &store, None).unwrap();
+            assert_eq!(warm.matrix, full.matrix, "warm threads={threads}");
+            let _ = std::fs::remove_dir_all(dir);
         }
     }
 
@@ -491,30 +469,6 @@ mod tests {
         let warm = run_campaign_append_with_metrics(&cfg, &store, Some(&reg)).unwrap();
         assert_eq!(warm.matrix, plain.matrix);
         assert_eq!(reg.report().counter("kernel/dot_products"), None);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn approximate_campaigns_never_touch_campaign_level_store_entries() {
-        let cfg = small_cfg().approx(GramApprox::Landmarks(3));
-        let (dir, store) = tmp_store("approx-store");
-        let r = run_campaign_incremental(&cfg, &store).unwrap();
-        assert_eq!(r.matrix.len(), cfg.runs as usize);
-        // Per-run artifacts were published; the campaign-level matrix and
-        // distance sample were not (the key names exact artifacts only).
-        let exact = cfg.clone().approx(GramApprox::Exact);
-        assert!(store
-            .get::<KernelMatrix>(campaign_fingerprint(&exact))
-            .unwrap()
-            .is_none());
-        assert!(store
-            .get::<Trace>(run_fingerprint(&exact, 0))
-            .unwrap()
-            .is_some());
-        // A later exact run warm-hits those per-run artifacts and computes
-        // the exact matrix untainted.
-        let e = run_campaign_incremental(&exact, &store).unwrap();
-        assert_eq!(e.matrix, run_campaign(&exact).unwrap().matrix);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -59,7 +59,7 @@ pub mod prelude {
         campaign, campaign_streaming, run_campaign, CampaignError, CampaignResult, Interrupted,
         RunCtx, StorePolicy, StreamingCampaignResult,
     };
-    pub use crate::config::{default_threads, CampaignConfig, GramApprox, KernelChoice};
+    pub use crate::config::{default_threads, CampaignConfig, KernelChoice};
     pub use crate::explore::{
         explore_campaign, explore_fingerprint, ExploreCampaignResult, ExploreCoverage,
     };
@@ -79,6 +79,6 @@ pub mod prelude {
 }
 
 pub use campaign::{campaign, run_campaign, CampaignError, CampaignResult, RunCtx, StorePolicy};
-pub use config::{CampaignConfig, GramApprox, KernelChoice};
+pub use config::{CampaignConfig, KernelChoice};
 pub use incremental::{run_campaign_incremental, IncrementalError};
 pub use measure::NdMeasurement;

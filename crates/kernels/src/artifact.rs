@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn matrix_round_trips_bit_exactly() {
         let graphs = race_graphs(5);
-        let m = gram_matrix(&WlKernel::default(), &graphs, 2);
+        let m = gram_matrix(&WlKernel::default(), &graphs, 2, None);
         let bytes = m.to_wire();
         let back = KernelMatrix::from_wire(&bytes).unwrap();
         assert_eq!(back, m);
@@ -156,15 +156,14 @@ mod tests {
     fn gram_from_stored_features_matches_direct_gram() {
         let graphs = race_graphs(6);
         let k = WlKernel::default();
-        let direct = gram_matrix(&k, &graphs, 3);
+        let direct = gram_matrix(&k, &graphs, 3, None);
         // Round-trip every feature vector through the wire format, then
         // build the Gram matrix from the decoded copies: the warm path.
         let feats: Vec<SparseFeatures> = graphs
             .iter()
             .map(|g| SparseFeatures::from_wire(&k.features(g).to_wire()).unwrap())
             .collect();
-        let warm =
-            crate::matrix::gram_from_features_with_metrics(direct.kernel_name(), &feats, 3, None);
+        let warm = crate::matrix::gram_from_features(direct.kernel_name(), &feats, 3, None);
         assert_eq!(warm, direct);
     }
 }

@@ -188,7 +188,7 @@ mod tests {
                 anacin_event_graph::EventGraph::from_trace(&t)
             })
             .collect();
-        let m = gram_matrix(&WlKernel::default(), &graphs, 2);
+        let m = gram_matrix(&WlKernel::default(), &graphs, 2, None);
         let e = mds(&m);
         assert_eq!(e.points.len(), 6);
         // Embedded distances approximate kernel distances (MDS of a small

@@ -22,80 +22,34 @@
 //!   violated this: iteration order depended on each map's random hasher
 //!   seed.
 
-/// Which dot-product implementation the pairwise kernel paths
-/// ([`gram_append`](crate::matrix::gram_append) and the landmark strips)
-/// use. The full Gram matrix is one k-way merge and takes no dot.
+/// The dot product of the kernel paths: the one scalar merge-join,
+/// [`SparseFeatures::dot`].
 ///
-/// Purely an execution-strategy knob, like the thread count: both kinds
-/// produce **bit-identical** sums (the blocked variant
-/// only skips runs of ids that match nothing, and a skipped non-match
-/// contributes exactly `+0.0`), so the choice is excluded from
-/// incremental-store fingerprints.
+/// Kept so configs and callers that name a dot kind keep working. It
+/// serialises as `"scalar"`; deserialising also accepts `"blocked"` (a
+/// retired variant whose sums were bit-identical) and a missing field,
+/// both as `Scalar`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DotKind {
     /// The branchless linear merge-join ([`SparseFeatures::dot`]).
     #[default]
     Scalar,
-    /// Block-at-a-time merge-join with galloping skip over disjoint key
-    /// ranges ([`SparseFeatures::dot_blocked`]).
-    Blocked,
 }
 
-impl DotKind {
-    /// Compute `⟨a, b⟩` with this implementation.
-    #[inline]
-    pub fn dot(self, a: &SparseFeatures, b: &SparseFeatures) -> f64 {
-        match self {
-            DotKind::Scalar => a.dot(b),
-            DotKind::Blocked => a.dot_blocked(b),
-        }
-    }
-
-    fn as_str(&self) -> &'static str {
-        match self {
-            DotKind::Scalar => "scalar",
-            DotKind::Blocked => "blocked",
-        }
-    }
-}
-
-impl std::fmt::Display for DotKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for DotKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(DotKind::Scalar),
-            "blocked" => Ok(DotKind::Blocked),
-            other => Err(format!(
-                "unknown dot kind '{other}' (expected 'scalar' or 'blocked')"
-            )),
-        }
-    }
-}
-
-// Manual serde impls: a missing field deserialises as `Null`, which maps to
-// the default — so configs serialised before the dot knob existed keep
-// loading.
 impl serde::Serialize for DotKind {
     fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.as_str().to_string())
+        serde::Value::String("scalar".to_string())
     }
 }
 
 impl serde::Deserialize for DotKind {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if v.is_null() {
-            return Ok(DotKind::default());
-        }
-        match v.as_str() {
-            Some(s) => s.parse().map_err(serde::Error::custom),
-            None => Err(serde::Error::custom("dot kind must be a string")),
+        match v {
+            serde::Value::Null => Ok(DotKind::Scalar),
+            serde::Value::String(s) if s == "scalar" || s == "blocked" => Ok(DotKind::Scalar),
+            other => Err(serde::Error::custom(format!(
+                "unknown dot kind {other:?} (expected \"scalar\")"
+            ))),
         }
     }
 }
@@ -199,76 +153,6 @@ impl SparseFeatures {
             sum += if ka == kb { prod } else { 0.0 };
             i += (ka <= kb) as usize;
             j += (kb <= ka) as usize;
-        }
-        sum
-    }
-
-    /// Inner product via a blocked merge-join with galloping skip.
-    ///
-    /// The scalar merge-join walks both arrays one element at a time even
-    /// through long runs of ids that exist on only one side — common when
-    /// two runs share part of their label vocabulary but diverge elsewhere.
-    /// This variant looks at both arrays a fixed-size block at a time:
-    /// when a whole block's key range lies strictly below the other
-    /// cursor's key, the block cannot contain a match and the cursor
-    /// gallops past it (doubling probe steps, then a binary search within
-    /// the last doubling) instead of visiting every element. Blocks whose
-    /// key ranges overlap fall back to the scalar branchless merge,
-    /// bounded to the block.
-    ///
-    /// **Bit-exactness.** Matching id pairs are visited in exactly the
-    /// same increasing-id order as [`SparseFeatures::dot`], and each match
-    /// accumulates through the identical expression `sum += wa * wb`.
-    /// Skipped elements are precisely those the scalar loop would have
-    /// accumulated as `sum += 0.0`, and `x + 0.0` never changes the bits
-    /// of any sum reachable here (the accumulator starts at `+0.0` and
-    /// `+0.0 + ±0.0 = +0.0`). Differential-tested against the scalar dot
-    /// bit-for-bit in this module and in `tests/properties.rs`.
-    pub fn dot_blocked(&self, other: &SparseFeatures) -> f64 {
-        /// Elements examined per block before the disjointness test.
-        const BLOCK: usize = 64;
-
-        /// First index in `s` whose id is `>= key`: exponential (galloping)
-        /// probe followed by a binary search within the last doubling.
-        fn gallop(s: &[(u64, f64)], key: u64) -> usize {
-            let mut hi = 1usize;
-            while hi < s.len() && s[hi - 1].0 < key {
-                hi *= 2;
-            }
-            let lo = hi / 2;
-            let hi = hi.min(s.len());
-            lo + s[lo..hi].partition_point(|&(id, _)| id < key)
-        }
-
-        let a = &self.map;
-        let b = &other.map;
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut sum = 0.0;
-        while i < a.len() && j < b.len() {
-            let a_end = (i + BLOCK).min(a.len());
-            let b_end = (j + BLOCK).min(b.len());
-            // Disjoint key ranges: the lower block holds no match for
-            // anything at or beyond the other cursor — skip past it and
-            // keep galloping to the first id that could match.
-            if a[a_end - 1].0 < b[j].0 {
-                i = a_end + gallop(&a[a_end..], b[j].0);
-                continue;
-            }
-            if b[b_end - 1].0 < a[i].0 {
-                j = b_end + gallop(&b[b_end..], a[i].0);
-                continue;
-            }
-            // Overlapping ranges: scalar branchless merge within the
-            // blocks — identical accumulation order and expression to
-            // `dot`.
-            while i < a_end && j < b_end {
-                let (ka, wa) = a[i];
-                let (kb, wb) = b[j];
-                let prod = wa * wb;
-                sum += if ka == kb { prod } else { 0.0 };
-                i += (ka <= kb) as usize;
-                j += (kb <= ka) as usize;
-            }
         }
         sum
     }
@@ -440,86 +324,19 @@ mod tests {
         assert_eq!(ids, vec![1, 3, 9]);
     }
 
-    /// Deterministic pseudo-random vector shapes for the blocked-dot
-    /// differential: splitmix64 ids so supports interleave, cluster, and
-    /// leave long disjoint runs.
-    fn pseudo_vector(seed: u64, len: usize, stride: u64) -> SparseFeatures {
-        let mut x = seed;
-        (0..len)
-            .map(|i| {
-                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                let id = (z ^ (z >> 31)) % (len as u64 * stride + 1);
-                (id, 0.1 + (i as f64) * 0.37)
-            })
-            .collect()
-    }
-
-    /// The tier-1 exactness contract: the blocked merge-join with
-    /// galloping skip is bit-identical to the scalar merge-join on every
-    /// shape — empty, tiny, fully disjoint, fully shared, clustered, and
-    /// randomly interleaved (including lengths straddling the block size).
     #[test]
-    fn blocked_dot_is_bit_identical_to_scalar() {
-        let shapes: Vec<(SparseFeatures, SparseFeatures)> = vec![
-            (SparseFeatures::new(), SparseFeatures::new()),
-            (pseudo_vector(1, 3, 5), SparseFeatures::new()),
-            // Fully disjoint ranges (gallop skips everything).
-            (
-                (0..500u64).map(|i| (i, 1.5 + i as f64)).collect(),
-                (1000..1600u64).map(|i| (i, 2.5 + i as f64)).collect(),
-            ),
-            // Identical supports (pure scalar path).
-            (pseudo_vector(7, 300, 3), pseudo_vector(7, 300, 3)),
-            // One tiny probe against a long run (gallop from both sides).
-            (
-                [(5_000, 2.0), (90_000, 7.0)].into_iter().collect(),
-                (0..100_000u64).step_by(7).map(|i| (i, 0.25)).collect(),
-            ),
-        ];
-        for (sa, sb) in &shapes {
-            assert_eq!(sa.dot_blocked(sb).to_bits(), sa.dot(sb).to_bits());
-            assert_eq!(sb.dot_blocked(sa).to_bits(), sb.dot(sa).to_bits());
+    fn dot_kind_serde_reads_every_retired_spelling_as_scalar() {
+        let v = serde::Serialize::to_value(&DotKind::Scalar);
+        assert_eq!(v, serde::Value::String("scalar".to_string()));
+        for v in [
+            v,
+            serde::Value::String("blocked".to_string()),
+            serde::Value::Null,
+        ] {
+            assert_eq!(serde::Deserialize::from_value(&v), Ok(DotKind::Scalar));
         }
-        // Random interleavings at lengths around the 64-element block size.
-        for seed in 0..32u64 {
-            for (la, lb) in [(1, 200), (63, 64), (64, 65), (129, 511), (777, 64)] {
-                let a = pseudo_vector(seed, la, 2 + (seed % 11));
-                let b = pseudo_vector(seed ^ 0xDEAD_BEEF, lb, 1 + (seed % 7));
-                assert_eq!(
-                    a.dot_blocked(&b).to_bits(),
-                    a.dot(&b).to_bits(),
-                    "seed {seed}, lens ({la}, {lb})"
-                );
-                assert_eq!(a.dot_blocked(&b).to_bits(), b.dot_blocked(&a).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn dot_kind_dispatch_parse_and_serde() {
-        let a = pseudo_vector(3, 100, 4);
-        let b = pseudo_vector(9, 90, 3);
-        assert_eq!(DotKind::Scalar.dot(&a, &b).to_bits(), a.dot(&b).to_bits());
-        assert_eq!(
-            DotKind::Blocked.dot(&a, &b).to_bits(),
-            a.dot_blocked(&b).to_bits()
-        );
-        assert_eq!("scalar".parse(), Ok(DotKind::Scalar));
-        assert_eq!("blocked".parse(), Ok(DotKind::Blocked));
-        assert!("simd".parse::<DotKind>().is_err());
-        for k in [DotKind::Scalar, DotKind::Blocked] {
-            let v = serde::Serialize::to_value(&k);
-            assert_eq!(serde::Deserialize::from_value(&v), Ok(k));
-            assert_eq!(k.to_string().parse(), Ok(k));
-        }
-        // Null (a config written before the knob existed) is the default.
-        assert_eq!(
-            <DotKind as serde::Deserialize>::from_value(&serde::Value::Null),
-            Ok(DotKind::Scalar)
-        );
+        let simd = serde::Value::String("simd".to_string());
+        assert!(<DotKind as serde::Deserialize>::from_value(&simd).is_err());
     }
 
     /// The reproducibility contract: reductions accumulate in id order, so

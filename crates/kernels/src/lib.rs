@@ -14,7 +14,8 @@
 //! * [`graphlet::GraphletKernel`] — label-free sampled 3-graphlets.
 //!
 //! [`matrix::gram_matrix`] computes kernel matrices over run samples in
-//! parallel; [`distance::kernel_distance`] turns kernel values into RKHS
+//! parallel; [`par::ordered_map`] is the workspace's one ordered worker
+//! map; [`distance::kernel_distance`] turns kernel values into RKHS
 //! distances.
 //!
 //! ```
@@ -31,14 +32,13 @@
 //!     EventGraph::from_trace(&t)
 //! }).collect();
 //!
-//! let m = gram_matrix(&WlKernel::default(), &graphs, 2);
+//! let m = gram_matrix(&WlKernel::default(), &graphs, 2, None);
 //! let d = m.distance(0, 1);
 //! assert!(d >= 0.0); // 0 iff the two runs matched messages identically
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod approx;
 pub mod artifact;
 pub mod distance;
 pub mod embed;
@@ -47,12 +47,12 @@ pub mod graphlet;
 pub mod histogram;
 pub mod kernel;
 pub mod matrix;
+pub mod par;
 pub mod shortest_path;
 pub mod wl;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::approx::{landmark_gram, landmark_indices, ApproxGram};
     pub use crate::distance::{distance, kernel_distance, normalized_kernel};
     pub use crate::embed::{embedded_distance, mds, mds_from_distances, Embedding};
     pub use crate::feature::{DotKind, SparseFeatures};
@@ -60,9 +60,8 @@ pub mod prelude {
     pub use crate::histogram::{EdgeHistogramKernel, VertexHistogramKernel};
     pub use crate::kernel::GraphKernel;
     pub use crate::matrix::{
-        gram_append, gram_from_features_with_dot, gram_from_features_with_metrics, gram_matrix,
-        gram_matrix_with_metrics, parallel_features, parallel_features_at,
-        parallel_features_with_metrics, KernelMatrix,
+        gram_append, gram_from_features, gram_from_features_with_dot, gram_matrix,
+        parallel_features, KernelMatrix,
     };
     pub use crate::shortest_path::ShortestPathKernel;
     pub use crate::wl::WlKernel;

@@ -2,19 +2,19 @@
 //!
 //! A non-determinism measurement compares a *sample* of runs (the paper
 //! uses 20 per setting), which needs the full kernel matrix. Features are
-//! extracted once per graph on `std::thread::scope` workers pulling indices
-//! from an atomic counter. The Gram matrix is then one k-way merge over
-//! all sorted feature vectors (see [`gram_from_features_with_metrics`])
-//! rather than `R(R+1)/2` pairwise merge-joins: same-program WL vectors
-//! share only a small fraction of their ids, so most pairwise merge steps
-//! would add nothing.
+//! extracted once per graph on the workers of [`ordered_map`]. The Gram
+//! matrix is then one k-way merge over all sorted feature vectors (see
+//! [`gram_from_features`]) rather than `R(R+1)/2` pairwise merge-joins:
+//! same-program WL vectors share only a small fraction of their ids, so
+//! most pairwise merge steps would add nothing.
 
 use crate::distance::kernel_distance;
 use crate::feature::{DotKind, SparseFeatures};
 use crate::kernel::GraphKernel;
+use crate::par::ordered_map;
 use anacin_event_graph::EventGraph;
 use anacin_obs::MetricsRegistry;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::borrow::Borrow;
 use std::sync::{Barrier, RwLock};
 
 /// A symmetric kernel (Gram) matrix over a sample of graphs.
@@ -111,95 +111,41 @@ impl KernelMatrix {
     }
 }
 
-/// Compute φ(G) for each graph in parallel.
-pub fn parallel_features(
+/// φ(G) of every graph, in input order, extracted on up to `threads`
+/// workers ([`ordered_map`]). `graphs` may hold graphs or references to
+/// them, so a caller can pass just the graphs it lacks vectors for. With a
+/// registry it records a `features` span, one `features/feature` span per
+/// graph, the `kernel/features` counter and the `kernel/threads` gauge.
+/// Results are identical either way.
+pub fn parallel_features<G: Borrow<EventGraph> + Sync>(
     kernel: &dyn GraphKernel,
-    graphs: &[EventGraph],
-    threads: usize,
-) -> Vec<SparseFeatures> {
-    parallel_features_with_metrics(kernel, graphs, threads, None)
-}
-
-/// [`parallel_features`], additionally recording a `features` span, the
-/// `kernel/features` counter, and the `kernel/threads` gauge when a
-/// registry is supplied. Results are identical either way.
-pub fn parallel_features_with_metrics(
-    kernel: &dyn GraphKernel,
-    graphs: &[EventGraph],
+    graphs: &[G],
     threads: usize,
     metrics: Option<&MetricsRegistry>,
 ) -> Vec<SparseFeatures> {
-    let all: Vec<usize> = (0..graphs.len()).collect();
-    parallel_features_at(kernel, graphs, &all, threads, metrics)
-}
-
-/// [`parallel_features_with_metrics`] over `graphs[i]` for each `i` in
-/// `indices` only (in that order) — the incremental path, where the
-/// store already holds the other runs' vectors.
-pub fn parallel_features_at(
-    kernel: &dyn GraphKernel,
-    graphs: &[EventGraph],
-    indices: &[usize],
-    threads: usize,
-    metrics: Option<&MetricsRegistry>,
-) -> Vec<SparseFeatures> {
-    let n = indices.len();
-    let threads = threads.max(1).min(n.max(1));
+    let n = graphs.len();
     let _span = metrics.map(|m| m.span("features"));
     if let Some(m) = metrics {
         m.counter("kernel/features").add(n as u64);
-        m.set_gauge("kernel/threads", threads as f64);
+        m.set_gauge("kernel/threads", threads.clamp(1, n.max(1)) as f64);
     }
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<(usize, SparseFeatures)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = indices.get(k) else { break };
-                        // Per-graph span on the worker's own thread (path
-                        // "feature": worker threads have no span stack), so
-                        // traced timelines show each extraction.
-                        let _sp = metrics.map(|m| m.span("feature"));
-                        local.push((k, kernel.features(&graphs[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    out.sort_unstable_by_key(|&(k, _)| k);
-    out.into_iter().map(|(_, f)| f).collect()
+    ordered_map(graphs, threads, |g| {
+        let _sp = metrics.map(|m| m.span("feature"));
+        kernel.features(g.borrow())
+    })
 }
 
-/// Compute the Gram matrix of `graphs` under `kernel` using up to
-/// `threads` worker threads.
+/// The Gram matrix of `graphs` under `kernel`: [`parallel_features`], then
+/// [`gram_from_features`], each on up to `threads` workers and each
+/// recording its metrics when a registry is supplied.
 pub fn gram_matrix(
     kernel: &dyn GraphKernel,
     graphs: &[EventGraph],
     threads: usize,
-) -> KernelMatrix {
-    gram_matrix_with_metrics(kernel, graphs, threads, None)
-}
-
-/// [`gram_matrix`], additionally recording `features`/`gram` spans and the
-/// `kernel/dot_products` counter when a registry is supplied. The matrix is
-/// bit-identical either way.
-pub fn gram_matrix_with_metrics(
-    kernel: &dyn GraphKernel,
-    graphs: &[EventGraph],
-    threads: usize,
     metrics: Option<&MetricsRegistry>,
 ) -> KernelMatrix {
-    let feats = parallel_features_with_metrics(kernel, graphs, threads, metrics);
-    gram_from_features_with_metrics(&kernel.name(), &feats, threads, metrics)
+    let feats = parallel_features(kernel, graphs, threads, metrics);
+    gram_from_features(&kernel.name(), &feats, threads, metrics)
 }
 
 /// The exact Gram matrix of `feats`, bit-identical to the matrix of
@@ -230,7 +176,7 @@ pub fn gram_matrix_with_metrics(
 /// This is also the warm path, when per-run features come out of the
 /// artifact store instead of being re-extracted from graphs. The
 /// `kernel/dot_products` counter records the `R(R+1)/2` entries computed.
-pub fn gram_from_features_with_metrics(
+pub fn gram_from_features(
     kernel_name: &str,
     feats: &[SparseFeatures],
     threads: usize,
@@ -316,9 +262,7 @@ pub fn gram_from_features_with_metrics(
     }
 }
 
-/// [`gram_from_features_with_metrics`]. `dot` has no effect on the full
-/// Gram matrix; it names the pairwise dot of [`gram_append`] and the
-/// landmark strips, so one config value can be passed to all three.
+/// [`gram_from_features`]; `DotKind` has one value and changes nothing.
 pub fn gram_from_features_with_dot(
     kernel_name: &str,
     feats: &[SparseFeatures],
@@ -326,7 +270,7 @@ pub fn gram_from_features_with_dot(
     _dot: DotKind,
     metrics: Option<&MetricsRegistry>,
 ) -> KernelMatrix {
-    gram_from_features_with_metrics(kernel_name, feats, threads, metrics)
+    gram_from_features(kernel_name, feats, threads, metrics)
 }
 
 /// The shared ids of one shard: `entries` holds `(run, weight)` postings
@@ -507,7 +451,6 @@ pub fn gram_append(
     prev: &KernelMatrix,
     feats: &[SparseFeatures],
     threads: usize,
-    dot: DotKind,
     metrics: Option<&MetricsRegistry>,
 ) -> KernelMatrix {
     let n = feats.len();
@@ -525,35 +468,10 @@ pub fn gram_append(
         values[i * n..i * n + prev.n].copy_from_slice(&prev.values[i * prev.n..(i + 1) * prev.n]);
     }
     let new = n - 1;
-    let threads = threads.max(1).min(n);
-    let next = AtomicUsize::new(0);
-    let col: Vec<Vec<(usize, f64)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i > new {
-                            break;
-                        }
-                        local.push((i, dot.dot(&feats[i], &feats[new])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    for chunk in col {
-        for (i, v) in chunk {
-            values[i * n + new] = v;
-            values[new * n + i] = v;
-        }
+    let col = ordered_map(feats, threads, |f| f.dot(&feats[new]));
+    for (i, v) in col.into_iter().enumerate() {
+        values[i * n + new] = v;
+        values[new * n + i] = v;
     }
     KernelMatrix {
         n,
@@ -588,7 +506,7 @@ mod tests {
     fn gram_matrix_matches_direct_computation() {
         let graphs = race_graphs(6, 100.0);
         let k = WlKernel::default();
-        let m = gram_matrix(&k, &graphs, 4);
+        let m = gram_matrix(&k, &graphs, 4, None);
         assert_eq!(m.len(), 6);
         for i in 0..6 {
             for j in 0..6 {
@@ -606,8 +524,8 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let graphs = race_graphs(8, 100.0);
         let k = WlKernel::default();
-        let m1 = gram_matrix(&k, &graphs, 1);
-        let m8 = gram_matrix(&k, &graphs, 8);
+        let m1 = gram_matrix(&k, &graphs, 1, None);
+        let m8 = gram_matrix(&k, &graphs, 8, None);
         for i in 0..8 {
             for j in 0..8 {
                 assert_eq!(m1.value(i, j), m8.value(i, j));
@@ -617,15 +535,15 @@ mod tests {
 
     #[test]
     fn balanced_scheduling_is_bit_exact_for_all_small_sizes() {
-        // The pair-blocked schedule hands out rows in a different order than
-        // a serial sweep; every (i, j) entry must nonetheless equal the
-        // directly computed kernel value exactly, for odd and even n alike.
+        // Workers own rows dealt out in (k, n−1−k) blocks, not in a serial
+        // sweep; every (i, j) entry must nonetheless equal the directly
+        // computed kernel value exactly, for odd and even n alike.
         let all = race_graphs(9, 100.0);
         let k = WlKernel::default();
         for n in 1..=9 {
             let graphs = &all[..n];
             for threads in [1, 2, 8] {
-                let m = gram_matrix(&k, graphs, threads);
+                let m = gram_matrix(&k, graphs, threads, None);
                 for i in 0..n {
                     for j in 0..n {
                         assert_eq!(
@@ -634,32 +552,6 @@ mod tests {
                             "n={n} threads={threads} ({i},{j})"
                         );
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_dot_gram_is_bit_identical_to_scalar() {
-        let graphs = race_graphs(7, 100.0);
-        let k = WlKernel::default();
-        let feats = parallel_features(&k, &graphs, 2);
-        let scalar = gram_from_features_with_metrics(&k.name(), &feats, 1, None);
-        for threads in [1, 2, 8] {
-            let blocked = gram_from_features_with_dot(
-                &k.name(),
-                &feats,
-                threads,
-                crate::feature::DotKind::Blocked,
-                None,
-            );
-            for i in 0..7 {
-                for j in 0..7 {
-                    assert_eq!(
-                        blocked.value(i, j).to_bits(),
-                        scalar.value(i, j).to_bits(),
-                        "threads={threads} ({i},{j})"
-                    );
                 }
             }
         }
@@ -728,28 +620,26 @@ mod tests {
     fn gram_append_equals_cold_recompute_and_counts_r_plus_1_dots() {
         let graphs = race_graphs(8, 100.0);
         let k = WlKernel::default();
-        let feats = parallel_features(&k, &graphs, 2);
-        for dot in [DotKind::Scalar, DotKind::Blocked] {
-            // Grow from 1 run to 8, one append at a time, at several
-            // thread counts; every intermediate matrix must equal the
-            // cold recompute of the same prefix bit-for-bit.
-            for threads in [1, 2, 8] {
-                let mut m = gram_from_features_with_dot(&k.name(), &feats[..1], 1, dot, None);
-                for r in 1..8 {
-                    let reg = anacin_obs::MetricsRegistry::new();
-                    m = gram_append(&m, &feats[..=r], threads, dot, Some(&reg));
-                    let report = reg.report();
-                    assert_eq!(report.counter("kernel/dot_products"), Some(r as u64 + 1));
-                    let cold = gram_from_features_with_dot(&k.name(), &feats[..=r], 1, dot, None);
-                    assert_eq!(m.len(), r + 1);
-                    for i in 0..=r {
-                        for j in 0..=r {
-                            assert_eq!(
-                                m.value(i, j).to_bits(),
-                                cold.value(i, j).to_bits(),
-                                "dot={dot} threads={threads} r={r} ({i},{j})"
-                            );
-                        }
+        let feats = parallel_features(&k, &graphs, 2, None);
+        // Grow from 1 run to 8, one append at a time, at several thread
+        // counts; every intermediate matrix must equal the cold recompute
+        // of the same prefix bit-for-bit.
+        for threads in [1, 2, 8] {
+            let mut m = gram_from_features(&k.name(), &feats[..1], 1, None);
+            for r in 1..8 {
+                let reg = anacin_obs::MetricsRegistry::new();
+                m = gram_append(&m, &feats[..=r], threads, Some(&reg));
+                let report = reg.report();
+                assert_eq!(report.counter("kernel/dot_products"), Some(r as u64 + 1));
+                let cold = gram_from_features(&k.name(), &feats[..=r], 1, None);
+                assert_eq!(m.len(), r + 1);
+                for i in 0..=r {
+                    for j in 0..=r {
+                        assert_eq!(
+                            m.value(i, j).to_bits(),
+                            cold.value(i, j).to_bits(),
+                            "threads={threads} r={r} ({i},{j})"
+                        );
                     }
                 }
             }
@@ -761,29 +651,30 @@ mod tests {
     fn gram_append_rejects_wrong_feature_count() {
         let graphs = race_graphs(4, 100.0);
         let k = WlKernel::default();
-        let feats = parallel_features(&k, &graphs, 1);
-        let m = gram_from_features_with_metrics(&k.name(), &feats[..2], 1, None);
-        gram_append(&m, &feats, 1, DotKind::Scalar, None);
+        let feats = parallel_features(&k, &graphs, 1, None);
+        let m = gram_from_features(&k.name(), &feats[..2], 1, None);
+        gram_append(&m, &feats, 1, None);
     }
 
     #[test]
     fn gram_metrics_count_dot_products_and_features() {
         let graphs = race_graphs(6, 100.0);
         let reg = anacin_obs::MetricsRegistry::new();
-        let m = gram_matrix_with_metrics(&WlKernel::default(), &graphs, 2, Some(&reg));
+        let m = gram_matrix(&WlKernel::default(), &graphs, 2, Some(&reg));
         assert_eq!(m.len(), 6);
         let report = reg.report();
         assert_eq!(report.counter("kernel/features"), Some(6));
         assert_eq!(report.counter("kernel/dot_products"), Some(6 * 7 / 2));
         assert!(report.gauge("kernel/threads").unwrap() >= 1.0);
         assert!(report.span("features").is_some());
+        assert_eq!(report.span("features/feature").map(|s| s.count), Some(6));
         assert!(report.span("gram").is_some());
     }
 
     #[test]
     fn diagonal_distances_are_zero_and_matrix_symmetric() {
         let graphs = race_graphs(5, 100.0);
-        let m = gram_matrix(&WlKernel::default(), &graphs, 3);
+        let m = gram_matrix(&WlKernel::default(), &graphs, 3, None);
         for i in 0..5 {
             assert_eq!(m.distance(i, i), 0.0);
             for j in 0..5 {
@@ -795,7 +686,7 @@ mod tests {
     #[test]
     fn pairwise_distance_count() {
         let graphs = race_graphs(6, 100.0);
-        let m = gram_matrix(&WlKernel::default(), &graphs, 2);
+        let m = gram_matrix(&WlKernel::default(), &graphs, 2, None);
         assert_eq!(m.pairwise_distances().len(), 6 * 5 / 2);
         assert_eq!(m.distances_from(0).len(), 5);
     }
@@ -804,14 +695,14 @@ mod tests {
     fn identical_runs_give_zero_mean_distance() {
         // nd = 0: every seed produces the identical trace.
         let graphs = race_graphs(5, 0.0);
-        let m = gram_matrix(&WlKernel::default(), &graphs, 2);
+        let m = gram_matrix(&WlKernel::default(), &graphs, 2, None);
         assert_eq!(m.mean_pairwise_distance(), 0.0);
     }
 
     #[test]
     fn nd_runs_give_positive_mean_distance() {
         let graphs = race_graphs(10, 100.0);
-        let m = gram_matrix(&WlKernel::default(), &graphs, 4);
+        let m = gram_matrix(&WlKernel::default(), &graphs, 4, None);
         assert!(m.mean_pairwise_distance() > 0.0);
         assert!(!m.is_empty());
         assert!(m.kernel_name().starts_with("wl"));
@@ -820,7 +711,7 @@ mod tests {
     #[test]
     fn normalized_accessors() {
         let graphs = race_graphs(4, 100.0);
-        let m = gram_matrix(&WlKernel::default(), &graphs, 2);
+        let m = gram_matrix(&WlKernel::default(), &graphs, 2, None);
         for i in 0..4 {
             assert!((m.normalized_value(i, i) - 1.0).abs() < 1e-9);
             assert_eq!(m.normalized_distance(i, i), 0.0);
@@ -834,7 +725,7 @@ mod tests {
 
     #[test]
     fn empty_sample() {
-        let m = gram_matrix(&WlKernel::default(), &[], 4);
+        let m = gram_matrix(&WlKernel::default(), &[], 4, None);
         assert!(m.is_empty());
         assert_eq!(m.mean_pairwise_distance(), 0.0);
         assert!(m.pairwise_distances().is_empty());

@@ -20,9 +20,11 @@
 //! * **Gauges** — last-write-wins `f64` values ("effective thread count").
 //! * **Spans** ([`Span`]) — scoped wall-time timers with nesting: a span
 //!   started while another span is active *on the same thread* records
-//!   under the path `parent/child`. Each named span accumulates count,
-//!   total, min and max, so per-run timers ("sim") and per-stage timers
-//!   ("campaign/simulate") coexist in one report.
+//!   under the path `parent/child`; a worker thread nests under its
+//!   stage's path through [`current_span_path`] and [`within_span`]. Each
+//!   named span accumulates count, total, min and max, so per-run timers
+//!   ("campaign/simulate/sim") and per-stage timers ("campaign/simulate")
+//!   coexist in one report.
 //!
 //! The registry is `Clone` (shared handle) and `Send + Sync`; worker
 //! threads increment counters and record spans concurrently. Everything is
@@ -72,6 +74,35 @@ thread_local! {
     /// Active span paths of the current thread, innermost last. Spans are
     /// guards, so well-formed code pushes and pops in LIFO order.
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The calling thread's innermost active span path, if any. A stage hands
+/// it to its worker threads, which pass it to [`within_span`] so their
+/// spans nest under the stage.
+pub fn current_span_path() -> Option<String> {
+    SPAN_STACK.with(|stack| stack.borrow().last().cloned())
+}
+
+/// Run `f` with the spans it starts on this thread nesting under `parent`
+/// (a path taken by [`current_span_path`], usually on another thread), as
+/// if `parent` were open here. `parent` itself records nothing; `None`
+/// runs `f` unchanged.
+pub fn within_span<R>(parent: Option<&str>, f: impl FnOnce() -> R) -> R {
+    struct Seeded<'a>(&'a str);
+    impl Drop for Seeded<'_> {
+        fn drop(&mut self) {
+            SPAN_STACK.with(|stack| {
+                let mut stack = stack.borrow_mut();
+                if let Some(pos) = stack.iter().rposition(|p| p == self.0) {
+                    stack.remove(pos);
+                }
+            });
+        }
+    }
+    let Some(parent) = parent else { return f() };
+    SPAN_STACK.with(|stack| stack.borrow_mut().push(parent.to_string()));
+    let _seeded = Seeded(parent);
+    f()
 }
 
 /// Accumulated statistics of one named span. The histogram is shared
@@ -604,6 +635,26 @@ mod tests {
             });
         });
         assert!(m.report().span("sim").is_some());
+    }
+
+    #[test]
+    fn worker_spans_nest_under_a_captured_path() {
+        let m = MetricsRegistry::new();
+        let _outer = m.span("campaign");
+        let _stage = m.span("simulate");
+        let parent = current_span_path();
+        assert_eq!(parent.as_deref(), Some("campaign/simulate"));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                within_span(parent.as_deref(), || {
+                    assert_eq!(m.span("sim").path(), "campaign/simulate/sim");
+                });
+                // The seeded path is gone once `within_span` returns.
+                assert_eq!(current_span_path(), None);
+                within_span(None, || assert_eq!(m.span("sim").path(), "sim"));
+            });
+        });
+        assert!(m.report().span("campaign/simulate/sim").is_some());
     }
 
     #[test]

@@ -72,17 +72,15 @@ fn kway_gram_equals_pairwise_scalar_dots_bit_for_bit() {
                 .flat_map(|a| feats.iter().map(move |b| a.dot(b).to_bits()))
                 .collect();
             for threads in [1usize, 2, 8] {
-                for dot in [DotKind::Scalar, DotKind::Blocked] {
-                    let reg = MetricsRegistry::new();
-                    let m = gram_from_features_with_dot("test", &feats, threads, dot, Some(&reg));
-                    let got: Vec<u64> = m.values().iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(got, want, "{shape}: R={runs} threads={threads} dot={dot}");
-                    assert_eq!(
-                        reg.report().counter("kernel/dot_products"),
-                        Some((runs * (runs + 1) / 2) as u64),
-                        "{shape}: R={runs}"
-                    );
-                }
+                let reg = MetricsRegistry::new();
+                let m = gram_from_features("test", &feats, threads, Some(&reg));
+                let got: Vec<u64> = m.values().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{shape}: R={runs} threads={threads}");
+                assert_eq!(
+                    reg.report().counter("kernel/dot_products"),
+                    Some((runs * (runs + 1) / 2) as u64),
+                    "{shape}: R={runs}"
+                );
             }
         }
     }
@@ -107,7 +105,7 @@ fn multi_worker_kway_gram_equals_pairwise_scalar_dots() {
             .flat_map(|a| feats.iter().map(move |b| a.dot(b).to_bits()))
             .collect();
         for threads in [2usize, 8] {
-            let m = gram_from_features_with_metrics("test", &feats, threads, None);
+            let m = gram_from_features("test", &feats, threads, None);
             let got: Vec<u64> = m.values().iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "R={runs} threads={threads}");
         }

@@ -55,13 +55,13 @@ fn all_kernels() -> Vec<Box<dyn GraphKernel>> {
 fn gram_is_bit_identical_to_pairwise_dot_for_every_kernel() {
     let graphs = generated_graphs();
     for kernel in all_kernels() {
-        let feats = parallel_features(kernel.as_ref(), &graphs, 1);
+        let feats = parallel_features(kernel.as_ref(), &graphs, 1, None);
         let pairwise: Vec<u64> = feats
             .iter()
             .flat_map(|a| feats.iter().map(move |b| a.dot(b).to_bits()))
             .collect();
         for threads in [1usize, 2, 8] {
-            let m = gram_matrix(kernel.as_ref(), &graphs, threads);
+            let m = gram_matrix(kernel.as_ref(), &graphs, threads, None);
             assert_eq!(
                 bits(&m),
                 pairwise,
